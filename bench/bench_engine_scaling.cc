@@ -283,9 +283,11 @@ FacadePanel RunFacadePanel() {
   panel.num_queries = static_cast<int>(raw_queries.size());
   const int repeats = 5;
   std::vector<std::vector<int>> templated_ids, facade_ids;
+  engine::Executor executor;
+  const engine::ExecutionContext context(executor, {});
   for (int r = 0; r < repeats; ++r) {
     StopWatch watch;
-    templated_ids = engine::SearchBatch(adapter, raw_queries);
+    templated_ids = engine::SearchBatch(adapter, raw_queries, context);
     const double millis = watch.ElapsedMillis();
     panel.templated_millis = r == 0
                                  ? millis

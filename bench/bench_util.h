@@ -103,12 +103,14 @@ template <engine::Searcher S>
 inline std::vector<JoinTiming> RunJoinScalingTable(
     const std::string& title, S& adapter,
     const std::vector<int>& thread_counts, int64_t* pairs_out = nullptr) {
+  engine::Executor executor;
   return internal::JoinScalingTable(
       title,
       [&](int threads, engine::JoinStats* stats) {
         engine::ExecutionOptions options;
         options.num_threads = threads;
-        return engine::SelfJoin(adapter, options, stats);
+        return engine::SelfJoin(
+            adapter, engine::ExecutionContext(executor, options), stats);
       },
       thread_counts, pairs_out);
 }

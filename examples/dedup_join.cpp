@@ -2,21 +2,54 @@
 //
 // Data-cleaning pipelines rarely issue one query at a time: they join a
 // collection with itself and review every near-duplicate pair. This example
-// runs pigeonring-accelerated self-joins over two object types and uses the
-// analytic chain-length advisor (core/advisor.h) to pick l instead of
-// hand-tuning it.
+// runs pigeonring-accelerated self-joins over two object types through the
+// public api::Db + api::Session facade and uses the analytic chain-length
+// advisor (core/advisor.h) to pick l instead of hand-tuning it.
 
 #include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "api/db.h"
 #include "common/table.h"
 #include "core/advisor.h"
 #include "datagen/binary_vectors.h"
 #include "datagen/strings.h"
-#include "join/self_join.h"
+
+using namespace pigeonring;
+
+namespace {
+
+// Opens `dataset` under `spec` and self-joins it; exits on any error.
+api::JoinResult SelfJoin(const api::IndexSpec& spec,
+                         const api::Dataset& dataset) {
+  auto opened = api::Db::Open(spec, dataset);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "open failed: %s\n",
+                 opened.status().ToString().c_str());
+    std::exit(1);
+  }
+  auto joined = opened->NewSession().SelfJoin();
+  if (!joined.ok()) {
+    std::fprintf(stderr, "self-join failed: %s\n",
+                 joined.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(joined).value();
+}
+
+void AddRow(Table& table, const std::string& method,
+            const api::JoinResult& joined) {
+  table.AddRow({method, Table::Int(joined.stats.pairs),
+                Table::Int(joined.stats.candidates),
+                Table::Num(joined.stats.total_millis, 1)});
+}
+
+}  // namespace
 
 int main() {
-  using namespace pigeonring;
-
   // --- Binary-code dedup ----------------------------------------------
   datagen::BinaryVectorConfig vec_config;
   vec_config.dimensions = 128;
@@ -24,14 +57,17 @@ int main() {
   vec_config.num_clusters = 500;
   vec_config.flip_rate = 0.03;
   vec_config.seed = 15;
-  auto codes = datagen::GenerateBinaryVectors(vec_config);
-  hamming::HammingSearcher code_searcher(std::move(codes));
-  const int tau = 16;
+  const api::Dataset codes(datagen::GenerateBinaryVectors(vec_config));
+  api::IndexSpec code_spec;
+  code_spec.domain = api::Domain::kHamming;
+  code_spec.tau = 16;
+  code_spec.num_parts = vec_config.dimensions / 16;  // the paper's m
 
   // Ask the §3.1 model which chain length to use: per-part distances of
   // unrelated codes are ~Binomial(d/m, 1/2); verification costs roughly
   // d/64 word operations vs ~1 per box check.
-  const int m = code_searcher.num_parts();
+  const int m = code_spec.num_parts;
+  const int tau = static_cast<int>(code_spec.tau);
   core::FilterAnalysis analysis(
       core::DiscretePmf::Binomial(vec_config.dimensions / m, 0.5), m, tau);
   core::ChainCostModel costs;
@@ -44,11 +80,9 @@ int main() {
   Table table("binary-code self-join, tau = 16",
               {"method", "pairs", "candidate probes", "time (ms)"});
   for (int l : {1, advised_l}) {
-    join::JoinStats stats;
-    const auto pairs = join::HammingSelfJoin(code_searcher, tau, l, &stats);
-    table.AddRow({l == 1 ? "GPH baseline" : "Ring (advised l)",
-                  Table::Int(stats.pairs), Table::Int(stats.candidates),
-                  Table::Num(stats.total_millis, 1)});
+    code_spec.chain_length = l;
+    AddRow(table, l == 1 ? "GPH baseline" : "Ring (advised l)",
+           SelfJoin(code_spec, codes));
   }
   table.Print();
 
@@ -59,32 +93,23 @@ int main() {
   str_config.duplicate_fraction = 0.25;
   str_config.max_perturb_edits = 2;
   str_config.seed = 16;
-  const auto names = datagen::GenerateStrings(str_config);
-  editdist::EditDistanceSearcher name_searcher(&names, /*tau=*/2,
-                                               /*kappa=*/2);
+  const std::vector<std::string> names = datagen::GenerateStrings(str_config);
+  api::IndexSpec name_spec;
+  name_spec.domain = api::Domain::kEdit;
+  name_spec.tau = 2;
+  name_spec.kappa = 2;
+  name_spec.edit_fast_path = api::EditFastPath::kOff;  // the q-gram path
   Table table2("string self-join, ed <= 2",
                {"method", "pairs", "candidate probes", "time (ms)"});
-  {
-    join::JoinStats stats;
-    join::EditSelfJoin(name_searcher, names, editdist::EditFilter::kPivotal,
-                       1, &stats);
-    table2.AddRow({"Pivotal", Table::Int(stats.pairs),
-                   Table::Int(stats.candidates),
-                   Table::Num(stats.total_millis, 1)});
-  }
-  {
-    join::JoinStats stats;
-    const auto pairs = join::EditSelfJoin(name_searcher, names,
-                                          editdist::EditFilter::kRing, 3,
-                                          &stats);
-    table2.AddRow({"Ring (l=3)", Table::Int(stats.pairs),
-                   Table::Int(stats.candidates),
-                   Table::Num(stats.total_millis, 1)});
-    if (!pairs.empty()) {
-      std::printf("\nexample duplicate pair: \"%s\" ~ \"%s\"\n",
-                  names[pairs.front().first].c_str(),
-                  names[pairs.front().second].c_str());
-    }
+  name_spec.chain_length = 1;
+  AddRow(table2, "Pivotal", SelfJoin(name_spec, api::Dataset(names)));
+  name_spec.chain_length = 3;
+  const api::JoinResult ring = SelfJoin(name_spec, api::Dataset(names));
+  AddRow(table2, "Ring (l=3)", ring);
+  if (!ring.pairs.empty()) {
+    std::printf("\nexample duplicate pair: \"%s\" ~ \"%s\"\n",
+                names[ring.pairs.front().first].c_str(),
+                names[ring.pairs.front().second].c_str());
   }
   std::printf("\n");
   table2.Print();

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "editdist/qgram.h"
+#include "engine/query_stats.h"
 
 namespace pigeonring::editdist {
 
@@ -40,19 +41,8 @@ enum class EditFilter {
   kRing,     // pivotal prefix filter + pigeonring chain check
 };
 
-/// Per-query counters. For the Pivotal baseline `candidates` counts Cand-1
-/// (pivotal prefix filter survivors) and `candidates_stage2` counts Cand-2
-/// (alignment filter survivors); for Ring, `candidates` counts chain-check
-/// survivors and `candidates_stage2` equals it.
-struct EditSearchStats {
-  int64_t candidates = 0;
-  int64_t candidates_stage2 = 0;
-  int64_t results = 0;
-  int64_t index_hits = 0;
-  double filter_millis = 0;
-  double verify_millis = 0;
-  double total_millis = 0;
-};
+/// Kept only because perfbench spells this name; use engine::QueryStats.
+using EditSearchStats = engine::QueryStats;
 
 /// Searcher for ed(x, q) <= tau over a fixed string collection.
 ///
@@ -115,9 +105,14 @@ class EditDistanceSearcher {
 
   /// Finds ids of all strings with ed(x, query) <= tau. `chain_length` is
   /// used only by EditFilter::kRing (clamped to [1, tau + 1]; the paper's
-  /// default is min(3, tau + 1)).
+  /// default is min(3, tau + 1)). `stats` may be null. For the Pivotal
+  /// baseline its `candidates` counts Cand-1 (pivotal prefix filter
+  /// survivors) and `candidates_stage2` counts Cand-2 (alignment filter
+  /// survivors); for Ring, `candidates` counts chain-check survivors and
+  /// `candidates_stage2` equals it.
   std::vector<int> Search(const std::string& query, EditFilter filter,
-                          int chain_length, EditSearchStats* stats = nullptr);
+                          int chain_length,
+                          engine::QueryStats* stats = nullptr);
 
  private:
   EditDistanceSearcher(const std::vector<std::string>* data, int tau,

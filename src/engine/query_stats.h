@@ -1,11 +1,11 @@
 // Uniform counters and result types for the query engine.
 //
-// The four case-study searchers each define their own stats struct
-// (hamming::SearchStats, setsim::SetSearchStats, editdist::EditSearchStats,
-// graphed::GraphSearchStats). engine::QueryStats is their superset: every
-// adapter converts its domain stats into it, so batch drivers can merge
-// counters from any domain with one operator+=. Counters a domain does not
-// track stay 0.
+// engine::QueryStats is the one per-query counter type: every case-study
+// searcher's Search (hamming, setsim and its baselines, editdist pivotal
+// and case decomposition, graphed) fills it directly, so batch drivers
+// merge counters from any domain with one operator+=. Counters a domain
+// does not track stay 0. This header depends on nothing, so the domain
+// headers below the engine can include it.
 
 #ifndef PIGEONRING_ENGINE_QUERY_STATS_H_
 #define PIGEONRING_ENGINE_QUERY_STATS_H_

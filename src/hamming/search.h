@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/bitvector.h"
+#include "engine/query_stats.h"
 #include "hamming/index.h"
 #include "kernels/flat_bit_table.h"
 
@@ -39,17 +40,8 @@ enum class AllocationMode {
   kRadiusZero,
 };
 
-/// Counters for one query, matching the quantities reported in the paper's
-/// figures.
-struct SearchStats {
-  int64_t candidates = 0;      // unique objects passing the filter
-  int64_t results = 0;         // objects with H(x, q) <= tau
-  int64_t index_hits = 0;      // postings touched in step 1
-  int64_t chain_checks = 0;    // step-2 prefix-viable checks run
-  double filter_millis = 0;    // allocation + probing + chain checks
-  double verify_millis = 0;    // final Hamming verification
-  double total_millis = 0;
-};
+/// Kept only because perfbench spells this name; use engine::QueryStats.
+using SearchStats = engine::QueryStats;
 
 /// A reusable searcher over a fixed collection of binary vectors.
 ///
@@ -91,10 +83,13 @@ class HammingSearcher {
 
   /// Finds all ids with H(x, q) <= tau. `chain_length` = 1 reproduces the
   /// GPH baseline; larger values enable the pigeonring filter. `stats` may
-  /// be null.
+  /// be null; otherwise it is overwritten with candidates, results,
+  /// index_hits (postings touched in step 1), chain_checks (step-2
+  /// prefix-viable checks), filter_millis (allocation + probing + chain
+  /// checks), verify_millis and total_millis.
   std::vector<int> Search(const BitVector& query, int tau, int chain_length,
                           AllocationMode mode = AllocationMode::kCostModel,
-                          SearchStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr);
 
   /// Exposes the per-part threshold allocation for tests and benches.
   std::vector<int> AllocateThresholds(const BitVector& query, int tau,

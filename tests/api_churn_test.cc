@@ -37,6 +37,7 @@
 #include "datagen/graphs.h"
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
+#include "test_scratch.h"
 
 namespace pigeonring::api {
 namespace {
@@ -95,7 +96,7 @@ Dataset DatasetFromQueries(Domain domain, const std::vector<Query>& queries) {
 }
 
 std::string SaveBytes(const Db& db, const std::string& name) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = ScratchPath(name);
   Status saved = db.Save(path);
   EXPECT_TRUE(saved.ok()) << saved.ToString();
   std::ifstream in(path, std::ios::binary);

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "engine/engine.h"
 #include "io/dataset_io.h"
 #include "setsim/pkwise.h"
+#include "test_scratch.h"
 
 namespace pigeonring::api {
 namespace {
@@ -92,9 +92,11 @@ void ExpectFacadeMatchesAdapter(S& adapter, StatusOr<Db> opened,
     ASSERT_TRUE(query.ok()) << query.status().ToString();
     db_queries.push_back(std::move(query).value());
   }
+  engine::Executor executor;
+  const engine::ExecutionContext context(executor, {});
   engine::QueryStats adapter_stats;
   const auto expected_ids =
-      engine::SearchBatch(adapter, adapter_queries, {}, &adapter_stats);
+      engine::SearchBatch(adapter, adapter_queries, context, &adapter_stats);
   auto batch = session.SearchBatch(db_queries);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch->ids, expected_ids);
@@ -107,7 +109,8 @@ void ExpectFacadeMatchesAdapter(S& adapter, StatusOr<Db> opened,
 
   // Self-join: pairs + counters.
   engine::JoinStats adapter_join;
-  const auto expected_pairs = engine::SelfJoin(adapter, {}, &adapter_join);
+  const auto expected_pairs =
+      engine::SelfJoin(adapter, context, &adapter_join);
   auto join = session.SelfJoin();
   ASSERT_TRUE(join.ok()) << join.status().ToString();
   EXPECT_EQ(join->pairs, expected_pairs);
@@ -229,7 +232,7 @@ TEST(DbTest, RunOptionsAreValidatedLikeTheSpec) {
 
 // Every execution entry point — Session sync, Session async, and
 // Writer::Compact — plans its RunOptions through the single
-// internal::PlanRun call site, so the error surface must be identical on
+// internal::ResolveRunOptions, so the error surface must be identical on
 // all of them, down to the exact message text.
 TEST(DbTest, RunOptionsErrorsAreIdenticalOnEveryCallPath) {
   IndexSpec spec;
@@ -343,10 +346,7 @@ TEST(SessionTest, SessionIsMovable) {
 }
 
 TEST(DbTest, OpensFromDatasetFile) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("pigeonring_api_test_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "vectors.ds").string();
+  const std::string path = ScratchPath("vectors.ds");
   const auto objects = MakeVectors(150, 64, 17);
   ASSERT_TRUE(io::SaveBitVectors(path, objects).ok());
 
@@ -367,8 +367,6 @@ TEST(DbTest, OpensFromDatasetFile) {
   auto b = memory_session.Search(*query);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->ids, b->ids);
-
-  std::filesystem::remove_all(dir);
 }
 
 TEST(DbTest, MissingDatasetFileIsNotFound) {

@@ -38,6 +38,7 @@
 #include "datagen/graphs.h"
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
+#include "test_scratch.h"
 
 namespace pigeonring::api {
 namespace {
@@ -176,7 +177,7 @@ Dataset SliceWithout(const Dataset& dataset, const std::vector<int>& drop) {
 }
 
 std::string SaveBytes(const Db& db, const std::string& name) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = ScratchPath(name);
   Status saved = db.Save(path);
   EXPECT_TRUE(saved.ok()) << saved.ToString();
   std::ifstream in(path, std::ios::binary);
@@ -633,7 +634,7 @@ TEST(WriterTest, SaveWithPendingDeltaDoesNotPublish) {
   EXPECT_EQ(SaveBytes(db, "publish_compacted.pgri"), pending);
 
   // And the saved file round-trips with the merged record count.
-  const std::string path = testing::TempDir() + "/publish_pending.pgri";
+  const std::string path = ScratchPath("publish_pending.pgri");
   auto reopened = Db::OpenIndex(db.spec(), path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened->num_records(), 31);

@@ -152,7 +152,7 @@ TEST(CaseDecTest, ParityAcrossTauLengthsAndAlphabets) {
               q % 2 == 0 ? data[rng.NextBounded(data.size())]
                          : RandomFixedString(rng, length, alphabet);
           for (const int chain : {1, 2, 4}) {
-            CaseDecStats stats;
+            engine::QueryStats stats;
             const auto got = searcher.Search(query, chain, &stats);
             const auto expected = BruteForce(data, query, tau);
             ASSERT_EQ(got, expected)
@@ -160,6 +160,10 @@ TEST(CaseDecTest, ParityAcrossTauLengthsAndAlphabets) {
                 << " chain=" << chain << " query=" << query;
             EXPECT_EQ(stats.results, static_cast<int64_t>(expected.size()));
             EXPECT_GE(stats.candidates, stats.results);
+            // One filter stage, all of it the fast path: both mirrors of
+            // `candidates` are set by Search itself.
+            EXPECT_EQ(stats.candidates_stage2, stats.candidates);
+            EXPECT_EQ(stats.fast_path_candidates, stats.candidates);
           }
         }
       }
@@ -196,7 +200,7 @@ TEST(CaseDecTest, VerifyOnlyRegimeWhenTauReachesLength) {
     CaseDecSearcher searcher(&data, tau);
     EXPECT_TRUE(searcher.cases().empty());
     const std::string query = RandomFixedString(rng, 3, 4);
-    CaseDecStats stats;
+    engine::QueryStats stats;
     const auto got = searcher.Search(query, 2, &stats);
     EXPECT_EQ(got, BruteForce(data, query, tau));
     EXPECT_EQ(stats.candidates, static_cast<int64_t>(data.size()));
@@ -210,9 +214,11 @@ TEST(CaseDecTest, LengthMismatchedQueriesFallBackSoundly) {
   CaseDecSearcher searcher(&data, 3);
   for (const int qlen : {5, 8, 9, 11, 12, 13, 20}) {
     const std::string query = RandomFixedString(rng, qlen, 6);
-    CaseDecStats stats;
+    engine::QueryStats stats;
     const auto got = searcher.Search(query, 2, &stats);
     EXPECT_EQ(got, BruteForce(data, query, 3)) << "qlen=" << qlen;
+    EXPECT_EQ(stats.candidates_stage2, stats.candidates);
+    EXPECT_EQ(stats.fast_path_candidates, stats.candidates);
     if (std::abs(qlen - 10) > 3) {
       // |length delta| > tau: pruned without touching any record.
       EXPECT_TRUE(got.empty());
@@ -290,7 +296,7 @@ TEST(CaseDecTest, StatsReportFilterReduction) {
   CaseDecSearcher searcher(&data, 3);
   int64_t total_candidates = 0;
   for (int q = 0; q < 20; ++q) {
-    CaseDecStats stats;
+    engine::QueryStats stats;
     searcher.Search(data[rng.NextBounded(data.size())], 2, &stats);
     total_candidates += stats.candidates;
     EXPECT_GE(stats.fast_path_hits, stats.candidates);

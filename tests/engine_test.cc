@@ -20,7 +20,6 @@
 #include "datagen/graphs.h"
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
-#include "join/self_join.h"
 
 namespace pigeonring::engine {
 namespace {
@@ -30,14 +29,17 @@ namespace {
 // run. Timing fields are excluded: wall clock is never deterministic.
 template <Searcher S>
 void ExpectParallelJoinMatchesSequential(S& adapter) {
+  Executor executor;
   JoinStats seq_stats;
-  const auto seq = SelfJoin(adapter, {}, &seq_stats);
+  const auto seq = SelfJoin(adapter, ExecutionContext(executor, {}),
+                            &seq_stats);
   for (int threads : {2, 4}) {
     ExecutionOptions options;
     options.num_threads = threads;
     options.chunk = 3;
     JoinStats par_stats;
-    const auto par = SelfJoin(adapter, options, &par_stats);
+    const auto par = SelfJoin(adapter, ExecutionContext(executor, options),
+                              &par_stats);
     EXPECT_EQ(par, seq) << "pairs diverged at " << threads << " threads";
     EXPECT_EQ(par_stats.pairs, seq_stats.pairs);
     EXPECT_EQ(par_stats.candidates, seq_stats.candidates);
@@ -112,8 +114,10 @@ TEST(EngineTest, EditFastJoinMatchesPivotalJoin) {
   EditAdapter pivotal(editdist::EditDistanceSearcher(&data, 3, 2), &data,
                       editdist::EditFilter::kRing, 3);
   EditFastAdapter fast(editdist::CaseDecSearcher(&data, 3), &data, 3);
-  const auto expected = SelfJoin(pivotal, {});
-  const auto got = SelfJoin(fast, {});
+  Executor executor;
+  const ExecutionContext context(executor, {});
+  const auto expected = SelfJoin(pivotal, context);
+  const auto got = SelfJoin(fast, context);
   EXPECT_EQ(got, expected);
 }
 
@@ -132,12 +136,16 @@ TEST(EngineTest, GraphParallelJoinDeterministic) {
   ExpectParallelJoinMatchesSequential(adapter);
 }
 
-TEST(EngineTest, LegacyWrapperHonorsNumThreads) {
-  auto objects = MakeVectors(300, 89);
-  hamming::HammingSearcher searcher(objects, 4);
-  join::JoinStats seq_stats, par_stats;
-  const auto seq = join::HammingSelfJoin(searcher, 8, 3, &seq_stats);
-  const auto par = join::HammingSelfJoin(searcher, 8, 3, &par_stats, 4);
+TEST(EngineTest, JoinHonorsContextWidth) {
+  HammingAdapter adapter(hamming::HammingSearcher(MakeVectors(300, 89), 4), 8,
+                         3);
+  Executor executor;
+  const ExecutionContext sequential(executor, {});
+  const ExecutionContext parallel(executor, {4, 8});
+  ASSERT_EQ(parallel.num_threads(), 4);
+  JoinStats seq_stats, par_stats;
+  const auto seq = SelfJoin(adapter, sequential, &seq_stats);
+  const auto par = SelfJoin(adapter, parallel, &par_stats);
   EXPECT_EQ(par, seq);
   EXPECT_EQ(par_stats.candidates, seq_stats.candidates);
   EXPECT_EQ(par_stats.pairs, seq_stats.pairs);
@@ -157,17 +165,20 @@ TEST(EngineTest, JoinCandidatesExcludeSelfMatches) {
       if (id == i) --expected;
     }
   }
+  Executor executor;
   JoinStats stats;
-  SelfJoin(adapter, {}, &stats);
+  SelfJoin(adapter, ExecutionContext(executor, {}), &stats);
   EXPECT_EQ(stats.candidates, expected);
 }
 
 TEST(EngineTest, EmptyCollectionsJoinToNothing) {
+  Executor executor;
+  const ExecutionContext context(executor, {});
   {
     HammingAdapter adapter(
         hamming::HammingSearcher(std::vector<BitVector>{}, 1), 2, 2);
     JoinStats stats;
-    EXPECT_TRUE(SelfJoin(adapter, {}, &stats).empty());
+    EXPECT_TRUE(SelfJoin(adapter, context, &stats).empty());
     EXPECT_EQ(stats.pairs, 0);
     EXPECT_EQ(stats.candidates, 0);
   }
@@ -175,30 +186,30 @@ TEST(EngineTest, EmptyCollectionsJoinToNothing) {
     setsim::SetCollection collection{std::vector<std::vector<int>>{}};
     SetAdapter adapter(setsim::PkwiseSearcher(&collection, 0.8, 5),
                        &collection, 2);
-    EXPECT_TRUE(SelfJoin(adapter).empty());
+    EXPECT_TRUE(SelfJoin(adapter, context).empty());
   }
   {
     const std::vector<std::string> data;
     EditAdapter adapter(editdist::EditDistanceSearcher(&data, 2, 2), &data,
                         editdist::EditFilter::kRing, 3);
-    EXPECT_TRUE(SelfJoin(adapter).empty());
+    EXPECT_TRUE(SelfJoin(adapter, context).empty());
   }
   {
     const std::vector<graphed::Graph> data;
     GraphAdapter adapter(graphed::GraphSearcher(&data, 1), &data,
                          graphed::GraphFilter::kRing, 1);
-    EXPECT_TRUE(SelfJoin(adapter).empty());
+    EXPECT_TRUE(SelfJoin(adapter, context).empty());
   }
 }
 
 TEST(EngineTest, SingleRecordJoinsToNothing) {
-  ExecutionOptions options;
-  options.num_threads = 4;
+  Executor executor;
+  const ExecutionContext context(executor, {4, 8});
   {
     HammingAdapter adapter(
         hamming::HammingSearcher(MakeVectors(1, 97), 2), 4, 2);
     JoinStats stats;
-    EXPECT_TRUE(SelfJoin(adapter, options, &stats).empty());
+    EXPECT_TRUE(SelfJoin(adapter, context, &stats).empty());
     EXPECT_EQ(stats.pairs, 0);
     EXPECT_EQ(stats.candidates, 0) << "the self-match must not be counted";
   }
@@ -208,7 +219,7 @@ TEST(EngineTest, SingleRecordJoinsToNothing) {
     SetAdapter adapter(setsim::PkwiseSearcher(&collection, 0.8, 5),
                        &collection, 2);
     JoinStats stats;
-    EXPECT_TRUE(SelfJoin(adapter, options, &stats).empty());
+    EXPECT_TRUE(SelfJoin(adapter, context, &stats).empty());
     EXPECT_EQ(stats.candidates, 0);
   }
 }
@@ -275,15 +286,18 @@ TEST(EngineTest, SearchBatchPreservesInputOrder) {
   std::vector<BitVector> queries(objects.begin(), objects.begin() + 50);
   HammingAdapter adapter(hamming::HammingSearcher(std::move(objects), 4), 10,
                          3);
+  Executor executor;
   QueryStats seq_stats;
-  const auto seq = SearchBatch(adapter, queries, {}, &seq_stats);
+  const auto seq = SearchBatch(adapter, queries, ExecutionContext(executor, {}),
+                               &seq_stats);
   ASSERT_EQ(seq.size(), queries.size());
 
   ExecutionOptions options;
   options.num_threads = 4;
   options.chunk = 3;
   QueryStats par_stats;
-  const auto par = SearchBatch(adapter, queries, options, &par_stats);
+  const auto par = SearchBatch(adapter, queries,
+                               ExecutionContext(executor, options), &par_stats);
   EXPECT_EQ(par, seq);
   EXPECT_EQ(par_stats.candidates, seq_stats.candidates);
   EXPECT_EQ(par_stats.results, seq_stats.results);
@@ -435,8 +449,9 @@ TEST(ExecutorTest, DriversReuseThePersistentExecutorAcrossCalls) {
   HammingAdapter adapter(hamming::HammingSearcher(objects), 8, 3);
   std::vector<BitVector> queries(objects.begin(), objects.begin() + 30);
 
-  const auto expected = SearchBatch(adapter, queries);
   Executor executor(2);
+  const auto expected =
+      SearchBatch(adapter, queries, ExecutionContext(executor, {}));
   ExecutionOptions options;
   options.num_threads = 2;
   options.chunk = 4;
@@ -445,9 +460,6 @@ TEST(ExecutorTest, DriversReuseThePersistentExecutorAcrossCalls) {
     EXPECT_EQ(SearchBatch(adapter, queries, context), expected);
   }
   EXPECT_EQ(executor.num_threads(), 2) << "no pool rebuild between calls";
-  ExecutionContext context(executor, options);
-  EXPECT_EQ(SelfJoin(adapter, context),
-            SelfJoin(adapter, ExecutionOptions{}));
 }
 
 }  // namespace

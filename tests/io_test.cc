@@ -5,35 +5,26 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 
 #include "datagen/binary_vectors.h"
 #include "datagen/graphs.h"
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
+#include "test_scratch.h"
 
 namespace pigeonring::io {
 namespace {
 
 class IoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("pigeonring_io_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   std::string Path(const std::string& name) const {
-    return (dir_ / name).string();
+    return ScratchPath(name);
   }
   void WriteFile(const std::string& name, const std::string& content) {
     std::ofstream out(Path(name));
     out << content;
   }
-
-  std::filesystem::path dir_;
 };
 
 TEST_F(IoTest, BitVectorsRoundTrip) {

@@ -1,7 +1,6 @@
-// Tests for the self-join helpers: each join must equal the brute-force
-// all-pairs result, and the pigeonring chain length must not change it.
-
-#include "join/self_join.h"
+// Tests for engine::SelfJoin over each domain's adapter: each join must
+// equal the brute-force all-pairs result, and the pigeonring chain length
+// must not change it.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +12,10 @@
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
 #include "editdist/verify.h"
+#include "engine/engine.h"
 #include "graphed/ged.h"
 
-namespace pigeonring::join {
+namespace pigeonring::engine {
 namespace {
 
 template <typename Predicate>
@@ -29,7 +29,14 @@ std::vector<IdPair> BruteForcePairs(int n, const Predicate& related) {
   return pairs;
 }
 
-TEST(SelfJoinTest, HammingJoinMatchesBruteForce) {
+// Every join runs sequentially on one persistent executor.
+class SelfJoinTest : public testing::Test {
+ protected:
+  Executor executor_;
+  const ExecutionContext context_{executor_, {}};
+};
+
+TEST_F(SelfJoinTest, HammingJoinMatchesBruteForce) {
   datagen::BinaryVectorConfig config;
   config.dimensions = 64;
   config.num_objects = 400;
@@ -46,13 +53,14 @@ TEST(SelfJoinTest, HammingJoinMatchesBruteForce) {
       });
   ASSERT_FALSE(expected.empty()) << "workload should contain close pairs";
   for (int l : {1, 3}) {
+    HammingAdapter adapter(searcher, tau, l);
     JoinStats stats;
-    EXPECT_EQ(HammingSelfJoin(searcher, tau, l, &stats), expected);
+    EXPECT_EQ(SelfJoin(adapter, context_, &stats), expected);
     EXPECT_EQ(stats.pairs, static_cast<int64_t>(expected.size()));
   }
 }
 
-TEST(SelfJoinTest, SetJoinMatchesBruteForceBothMeasures) {
+TEST_F(SelfJoinTest, SetJoinMatchesBruteForceBothMeasures) {
   datagen::TokenSetConfig config;
   config.num_records = 400;
   config.avg_tokens = 12;
@@ -62,30 +70,32 @@ TEST(SelfJoinTest, SetJoinMatchesBruteForceBothMeasures) {
   setsim::SetCollection collection(datagen::GenerateTokenSets(config));
   {
     const double tau = 0.7;
-    setsim::PkwiseSearcher searcher(&collection, tau, 5);
+    SetAdapter adapter(setsim::PkwiseSearcher(&collection, tau, 5),
+                       &collection, 2);
     const auto expected = BruteForcePairs(
         collection.num_records(), [&](int i, int j) {
           return setsim::Jaccard(collection.record(i),
                                  collection.record(j)) >= tau - 1e-12;
         });
     JoinStats stats;
-    EXPECT_EQ(SetSelfJoin(searcher, collection, 2, &stats), expected);
+    EXPECT_EQ(SelfJoin(adapter, context_, &stats), expected);
   }
   {
     const int overlap = 8;
-    setsim::PkwiseSearcher searcher(&collection, overlap, 5,
-                                    setsim::SetMeasure::kOverlap);
+    SetAdapter adapter(setsim::PkwiseSearcher(&collection, overlap, 5,
+                                              setsim::SetMeasure::kOverlap),
+                       &collection, 2);
     const auto expected = BruteForcePairs(
         collection.num_records(), [&](int i, int j) {
           return setsim::Overlap(collection.record(i),
                                  collection.record(j)) >= overlap;
         });
     JoinStats stats;
-    EXPECT_EQ(SetSelfJoin(searcher, collection, 2, &stats), expected);
+    EXPECT_EQ(SelfJoin(adapter, context_, &stats), expected);
   }
 }
 
-TEST(SelfJoinTest, EditJoinMatchesBruteForce) {
+TEST_F(SelfJoinTest, EditJoinMatchesBruteForce) {
   datagen::StringConfig config;
   config.num_records = 300;
   config.avg_length = 14;
@@ -100,16 +110,14 @@ TEST(SelfJoinTest, EditJoinMatchesBruteForce) {
         return editdist::BandedEditDistance(data[i], data[j], tau) <= tau;
       });
   ASSERT_FALSE(expected.empty());
+  EditAdapter ring(searcher, &data, editdist::EditFilter::kRing, 3);
+  EditAdapter pivotal(searcher, &data, editdist::EditFilter::kPivotal, 1);
   JoinStats stats;
-  EXPECT_EQ(EditSelfJoin(searcher, data, editdist::EditFilter::kRing, 3,
-                         &stats),
-            expected);
-  EXPECT_EQ(EditSelfJoin(searcher, data, editdist::EditFilter::kPivotal, 1,
-                         &stats),
-            expected);
+  EXPECT_EQ(SelfJoin(ring, context_, &stats), expected);
+  EXPECT_EQ(SelfJoin(pivotal, context_, &stats), expected);
 }
 
-TEST(SelfJoinTest, GraphJoinMatchesBruteForce) {
+TEST_F(SelfJoinTest, GraphJoinMatchesBruteForce) {
   datagen::GraphConfig config;
   config.num_graphs = 120;
   config.avg_vertices = 8;
@@ -126,16 +134,14 @@ TEST(SelfJoinTest, GraphJoinMatchesBruteForce) {
         return graphed::GraphEditDistanceWithin(data[i], data[j], tau) <=
                tau;
       });
+  GraphAdapter ring(searcher, &data, graphed::GraphFilter::kRing, 2);
+  GraphAdapter pars(searcher, &data, graphed::GraphFilter::kPars, 1);
   JoinStats stats;
-  EXPECT_EQ(GraphSelfJoin(searcher, data, graphed::GraphFilter::kRing, 2,
-                          &stats),
-            expected);
-  EXPECT_EQ(GraphSelfJoin(searcher, data, graphed::GraphFilter::kPars, 1,
-                          &stats),
-            expected);
+  EXPECT_EQ(SelfJoin(ring, context_, &stats), expected);
+  EXPECT_EQ(SelfJoin(pars, context_, &stats), expected);
 }
 
-TEST(SelfJoinTest, PairsAreCanonicalAndUnique) {
+TEST_F(SelfJoinTest, PairsAreCanonicalAndUnique) {
   datagen::BinaryVectorConfig config;
   config.dimensions = 64;
   config.num_objects = 200;
@@ -143,8 +149,8 @@ TEST(SelfJoinTest, PairsAreCanonicalAndUnique) {
   config.flip_rate = 0.02;
   config.seed = 89;
   auto objects = datagen::GenerateBinaryVectors(config);
-  hamming::HammingSearcher searcher(objects, 4);
-  const auto pairs = HammingSelfJoin(searcher, 12, 3);
+  HammingAdapter adapter(hamming::HammingSearcher(objects, 4), 12, 3);
+  const auto pairs = SelfJoin(adapter, context_);
   std::set<std::pair<int, int>> seen;
   for (const IdPair& p : pairs) {
     EXPECT_LT(p.first, p.second);
@@ -153,4 +159,4 @@ TEST(SelfJoinTest, PairsAreCanonicalAndUnique) {
 }
 
 }  // namespace
-}  // namespace pigeonring::join
+}  // namespace pigeonring::engine

@@ -28,6 +28,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "storage/bytes.h"
+#include "test_scratch.h"
 
 namespace pigeonring::net {
 namespace {
@@ -249,9 +250,8 @@ TEST(NetSmoke, MutationsConvergeLikeDirectWriter) {
   EXPECT_EQ(remote->ids, expected->ids);
 
   // The strongest pin: both databases serialize byte-identically.
-  const std::string dir = ::testing::TempDir();
-  const std::string served_path = dir + "/net_smoke_served.pri";
-  const std::string direct_path = dir + "/net_smoke_direct.pri";
+  const std::string served_path = ScratchPath("net_smoke_served.pri");
+  const std::string direct_path = ScratchPath("net_smoke_direct.pri");
   ASSERT_TRUE(served.Save(served_path).ok());
   ASSERT_TRUE(direct.Save(direct_path).ok());
   EXPECT_EQ(ReadFileBytes(served_path), ReadFileBytes(direct_path));

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -29,15 +28,10 @@
 #include "datagen/token_sets.h"
 #include "storage/crc32c.h"
 #include "storage/index_file.h"
+#include "test_scratch.h"
 
 namespace pigeonring::api {
 namespace {
-
-namespace fs = std::filesystem;
-
-std::string ScratchPath() {
-  return (fs::path(testing::TempDir()) / "fuzz_scratch.pgri").string();
-}
 
 std::vector<uint8_t> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -65,7 +59,7 @@ void ExpectSettles(const IndexSpec& spec, const std::vector<uint8_t>& image) {
   if (!reader.ok()) {
     EXPECT_FALSE(reader.status().message().empty());
   }
-  const std::string path = ScratchPath();
+  const std::string path = ScratchPath("fuzz_scratch.pgri");
   WriteFile(path, image);
   auto db = Db::OpenIndex(spec, path);
   if (!db.ok()) {
@@ -85,7 +79,7 @@ std::vector<uint8_t> BaseImage(IndexSpec& spec_out) {
   config.seed = 101;
   auto db = Db::Open(spec, Dataset(datagen::GenerateStrings(config)));
   EXPECT_TRUE(db.ok()) << db.status().ToString();
-  const std::string path = ScratchPath();
+  const std::string path = ScratchPath("fuzz_scratch.pgri");
   EXPECT_TRUE(db->Save(path).ok());
   spec_out = spec;
   return ReadFile(path);
@@ -262,7 +256,7 @@ TEST(StorageFuzzTest, RepairedMutationsSetDomain) {
   config.seed = 102;
   auto db = Db::Open(spec, Dataset(datagen::GenerateTokenSets(config)));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  const std::string path = ScratchPath();
+  const std::string path = ScratchPath("fuzz_scratch.pgri");
   ASSERT_TRUE(db->Save(path).ok());
   const std::vector<uint8_t> base = ReadFile(path);
 
@@ -327,7 +321,7 @@ TEST(StorageFuzzTest, RepairedMutationsEditFastDomain) {
   config.seed = 103;
   auto db = Db::Open(spec, Dataset(datagen::GenerateStrings(config)));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  const std::string path = ScratchPath();
+  const std::string path = ScratchPath("fuzz_scratch.pgri");
   ASSERT_TRUE(db->Save(path).ok());
   const std::vector<uint8_t> base = ReadFile(path);
 

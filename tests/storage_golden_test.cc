@@ -23,6 +23,7 @@
 #include "api/db.h"
 #include "common/bitvector.h"
 #include "graphed/graph.h"
+#include "test_scratch.h"
 
 #ifndef PIGEONRING_TEST_DATA_DIR
 #error "build must define PIGEONRING_TEST_DATA_DIR (see tests/CMakeLists.txt)"
@@ -188,8 +189,7 @@ TEST(StorageGoldenTest, CommittedIndexesMatchTodaysWriter) {
         << " missing — run with PIGEONRING_REGEN_GOLDEN=1 to create it";
 
     // (b) Byte-stability: today's writer reproduces the committed bytes.
-    const std::string fresh_path =
-        (fs::path(testing::TempDir()) / c.file).string();
+    const std::string fresh_path = ScratchPath(c.file);
     ASSERT_TRUE(built->Save(fresh_path).ok());
     EXPECT_EQ(ReadFile(fresh_path), ReadFile(golden_path))
         << c.file
