@@ -141,7 +141,11 @@ class Session {
   /// yields an already-resolved future), then enqueues the batch on the
   /// snapshot's executor and returns immediately. The submission owns a
   /// scratch clone of its own, so it may overlap this session's other
-  /// calls and submissions freely.
+  /// calls and submissions freely. That clone is minted per submission
+  /// and costs O(records) of scratch, the same as NewSession() (perfbench
+  /// `api.new_session_us`: 70-120 us at 100k 256-bit Hamming records on a
+  /// 4-core AVX-512 box). A caller that already owns a Session on its
+  /// thread, like net::Server's connections, calls SearchBatch instead.
   Future<BatchResult> SubmitBatch(std::vector<Query> queries,
                                   const RunOptions& options = {});
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <optional>
@@ -24,8 +23,6 @@ namespace {
 
 using storage::ByteReader;
 using storage::ByteWriter;
-
-constexpr auto kDrainPoll = std::chrono::milliseconds(20);
 
 Status SendReply(Socket& socket, Op op, const std::vector<uint8_t>& payload) {
   return SendFrame(socket, static_cast<uint8_t>(op) | kReplyBit, payload);
@@ -149,19 +146,6 @@ struct Server::Impl {
   void AcceptLoop();
 };
 
-namespace {
-
-// Drains a future without burning a core; WaitFor keeps the loop finite
-// even on an empty handle.
-template <typename T>
-StatusOr<T> Drain(api::Future<T> future) {
-  while (!future.WaitFor(kDrainPoll)) {
-  }
-  return future.Get();
-}
-
-}  // namespace
-
 Status Server::Impl::Dispatch(Socket& socket, api::Session& session, Op op,
                               const std::vector<uint8_t>& payload) {
   ByteReader r(payload.data(), payload.size());
@@ -179,10 +163,10 @@ Status Server::Impl::Dispatch(Socket& socket, api::Session& session, Op op,
         return SendErrorFrame(
             socket, Status::InvalidArgument("malformed search payload"));
       }
-      auto result = Drain(session.SubmitBatch({std::move(query)}));
+      auto result = session.Search(query);
       if (!result.ok()) return SendErrorFrame(socket, result.status());
       SearchReply reply;
-      reply.ids = std::move(result->ids[0]);
+      reply.ids = std::move(result->ids);
       reply.candidates = result->stats.candidates;
       reply.results = result->stats.results;
       ByteWriter w;
@@ -195,7 +179,7 @@ Status Server::Impl::Dispatch(Socket& socket, api::Session& session, Op op,
         return SendErrorFrame(
             socket, Status::InvalidArgument("malformed batch payload"));
       }
-      auto result = Drain(session.SubmitBatch(std::move(queries)));
+      auto result = session.SearchBatch(queries);
       if (!result.ok()) return SendErrorFrame(socket, result.status());
       BatchReply reply;
       reply.ids = std::move(result->ids);
@@ -211,7 +195,7 @@ Status Server::Impl::Dispatch(Socket& socket, api::Session& session, Op op,
         return SendErrorFrame(socket,
                               Status::InvalidArgument("join takes no payload"));
       }
-      auto result = Drain(session.SubmitSelfJoin());
+      auto result = session.SelfJoin();
       if (!result.ok()) return SendErrorFrame(socket, result.status());
       JoinReply reply;
       reply.pairs = std::move(result->pairs);
@@ -313,7 +297,7 @@ void Server::Impl::ServeConnection(Connection* conn) {
       continue;
     }
     const Op op = static_cast<Op>(in.frame.op);
-    // Admission control for the ops that hit the executor or the writer;
+    // Admission control for the ops that run queries or mutations;
     // ping / stats / record stay cheap control-plane ops.
     const bool controlled =
         op != Op::kPing && op != Op::kStats && op != Op::kRecord;

@@ -9,9 +9,11 @@
 //    the database since (a server-wide mutation sequence number), so a
 //    client that inserts through the server observes its own writes on
 //    the next request — on any connection.
-//  * Read ops (search / batch / self-join) are submitted onto the
-//    snapshot's executor via Session::SubmitBatch / SubmitSelfJoin and
-//    drained with Future::WaitFor, never computed on the accept loop.
+//  * Read ops (search / batch / self-join) run synchronously on the
+//    connection thread through its own Session (Search / SearchBatch /
+//    SelfJoin): no cursor copy and no thread hop per request. A batch or
+//    join still fans out over the snapshot's executor when the spec asks
+//    for threads; the accept loop never computes.
 //  * Mutation ops (insert / remove / compact) funnel through one shared
 //    api::Writer behind a mutex — the single-writer contract, enforced
 //    server-side. The writer is created on the first mutation op, so a

@@ -8,6 +8,7 @@
 #include "net/protocol.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <cstring>
 #include <string>
@@ -216,6 +217,54 @@ TEST(ProtocolCodecTest, RepliesRoundTrip) {
   ByteReader truncated(bytes.data(), bytes.size());
   ServerStats rejected;
   EXPECT_FALSE(DecodeServerStats(truncated, &rejected));
+}
+
+// A connected socketpair of `type`, each end owned by a Socket.
+std::pair<Socket, Socket> SocketPair(int type) {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, type, 0, fds), 0);
+  return {Socket(fds[0]), Socket(fds[1])};
+}
+
+// SendFrame writes the 16-byte header and the payload as one buffer in
+// one send: on a SOCK_SEQPACKET pair every send is one message, so a
+// single recv must return the whole frame. A stream pair then checks that
+// RecvFrame round-trips op and payload.
+TEST(ProtocolCodecTest, SendFrameWritesHeaderThenPayloadContiguously) {
+  for (size_t size : {size_t{0}, size_t{1}, size_t{64} << 10}) {
+    std::vector<uint8_t> payload(size);
+    for (size_t i = 0; i < size; ++i) {
+      payload[i] = static_cast<uint8_t>(i * 31 + 7);
+    }
+    const uint8_t op = static_cast<uint8_t>(Op::kBatch) | kReplyBit;
+    ByteWriter expected;
+    expected.U32(kFrameMagic);
+    expected.U8(kProtocolVersion);
+    expected.U8(op);
+    expected.U8(0);
+    expected.U8(0);
+    expected.U32(static_cast<uint32_t>(size));
+    expected.U32(storage::Crc32c(payload.data(), payload.size()));
+    expected.Bytes(payload.data(), payload.size());
+    ASSERT_EQ(expected.data().size(), kFrameHeaderBytes + size);
+
+    auto [packet_out, packet_in] = SocketPair(SOCK_SEQPACKET);
+    ASSERT_TRUE(SendFrame(packet_out, op, payload).ok());
+    std::vector<uint8_t> message(kFrameHeaderBytes + size + 1);
+    const ssize_t got =
+        ::recv(packet_in.fd(), message.data(), message.size(), 0);
+    ASSERT_EQ(got, static_cast<ssize_t>(kFrameHeaderBytes + size))
+        << "frame of a " << size << "-byte payload left in pieces";
+    message.resize(static_cast<size_t>(got));
+    EXPECT_EQ(message, expected.data());
+
+    auto [stream_out, stream_in] = SocketPair(SOCK_STREAM);
+    ASSERT_TRUE(SendFrame(stream_out, op, payload).ok());
+    FrameResult in = RecvFrame(stream_in);
+    ASSERT_TRUE(in.status.ok()) << in.status.ToString();
+    EXPECT_EQ(in.frame.op, op);
+    EXPECT_EQ(in.frame.payload, payload);
+  }
 }
 
 TEST(ProtocolCodecTest, WireErrorsTransportEveryStatusCode) {

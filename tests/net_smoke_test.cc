@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "api/db.h"
+#include "common/bitvector.h"
 #include "datagen/binary_vectors.h"
 #include "datagen/graphs.h"
 #include "datagen/strings.h"
@@ -39,7 +40,7 @@ api::Db OpenOrDie(const api::IndexSpec& spec, api::Dataset dataset) {
   return std::move(opened).value();
 }
 
-api::Db OpenHamming(uint64_t seed = 3301) {
+api::Db OpenHamming(uint64_t seed = 3301, int shards = 1) {
   datagen::BinaryVectorConfig config;
   config.dimensions = 64;
   config.num_objects = 200;
@@ -51,6 +52,7 @@ api::Db OpenHamming(uint64_t seed = 3301) {
   spec.domain = api::Domain::kHamming;
   spec.tau = 8;
   spec.chain_length = 3;
+  spec.shards = shards;
   return OpenOrDie(spec, api::Dataset(datagen::GenerateBinaryVectors(config)));
 }
 
@@ -191,6 +193,95 @@ TEST(NetSmoke, ClientMatchesInProcessStrings) {
 
 TEST(NetSmoke, ClientMatchesInProcessGraphs) {
   ExpectClientMatchesInProcess(OpenGraphs());
+}
+
+// Wrong-shape queries fail over TCP with exactly the status an
+// in-process Session returns — a single search reports Search's error
+// (no batch "query 0: " prefix), a batch reports SearchBatch's — and the
+// connection keeps serving.
+TEST(NetSmoke, WrongShapeSearchErrorsMatchInProcess) {
+  api::Db db = OpenHamming();
+  api::Session session = db.NewSession();
+  auto server = Server::Start(db);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Client client = ConnectOrDie(server->port());
+
+  const api::Query good = SampleQueries(session, 1)[0];
+  const std::vector<api::Query> bad = {
+      api::Query(BitVector(32)),                        // wrong dimension
+      api::Query(api::SetQuery{.tokens = {1, 2, 3}}),  // wrong domain
+  };
+  for (const api::Query& query : bad) {
+    const Status local = session.Search(query).status();
+    ASSERT_FALSE(local.ok());
+    const Status remote = client.Search(query).status();
+    EXPECT_EQ(remote.code(), local.code());
+    EXPECT_EQ(remote.message(), local.message());
+
+    const std::vector<api::Query> batch = {good, query};
+    const Status local_batch = session.SearchBatch(batch).status();
+    ASSERT_FALSE(local_batch.ok());
+    const Status remote_batch = client.SearchBatch(batch).status();
+    EXPECT_EQ(remote_batch.code(), local_batch.code());
+    EXPECT_EQ(remote_batch.message(), local_batch.message());
+
+    EXPECT_TRUE(client.Ping().ok());
+  }
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->protocol_errors, 0);
+}
+
+// Reads run on each connection's thread and touch only that connection's
+// Session: many connections reading at once (TSan-checked in CI) must
+// each get replies identical to an in-process Session.
+void ExpectConcurrentConnectionsMatchInProcess(api::Db db) {
+  api::Session session = db.NewSession();
+  const std::vector<api::Query> queries = SampleQueries(session, 50);
+  std::vector<api::SearchResult> singles;
+  for (const api::Query& query : queries) {
+    auto result = session.Search(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    singles.push_back(std::move(result).value());
+  }
+  auto batch = session.SearchBatch(queries);
+  ASSERT_TRUE(batch.ok());
+  auto join = session.SelfJoin();
+  ASSERT_TRUE(join.ok());
+
+  auto server = Server::Start(db);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const int port = server->port();
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&] {
+      Client client = ConnectOrDie(port);
+      for (size_t i = 0; i < queries.size(); ++i) {
+        auto remote = client.Search(queries[i]);
+        ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+        EXPECT_EQ(remote->ids, singles[i].ids);
+        EXPECT_EQ(remote->candidates, singles[i].stats.candidates);
+        EXPECT_EQ(remote->results, singles[i].stats.results);
+      }
+      auto remote_batch = client.SearchBatch(queries);
+      ASSERT_TRUE(remote_batch.ok()) << remote_batch.status().ToString();
+      EXPECT_EQ(remote_batch->ids, batch->ids);
+      EXPECT_EQ(remote_batch->candidates, batch->stats.candidates);
+      EXPECT_EQ(remote_batch->results, batch->stats.results);
+      auto remote_join = client.SelfJoin();
+      ASSERT_TRUE(remote_join.ok()) << remote_join.status().ToString();
+      EXPECT_EQ(remote_join->pairs, join->pairs);
+      EXPECT_EQ(remote_join->candidates, join->stats.candidates);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(server->Snapshot().accepted, 4 * (50 + 2));
+  server->Stop();
+}
+
+TEST(NetSmoke, ConcurrentConnectionsMatchInProcess) {
+  ExpectConcurrentConnectionsMatchInProcess(OpenHamming());
+  ExpectConcurrentConnectionsMatchInProcess(OpenHamming(3301, /*shards=*/2));
 }
 
 // Mutations through the server must converge identically to driving an
