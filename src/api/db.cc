@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <type_traits>
 #include <utility>
 
@@ -35,25 +36,49 @@ Status QueryDomainError(Domain query_domain, Domain index_domain) {
       " query but the index domain is " + DomainName(index_domain));
 }
 
-bool RingEnabled(const IndexSpec& spec);  // defined after the models
+bool RingEnabled(const IndexSpec& spec) {
+  switch (spec.filter) {
+    case FilterMode::kBaseline:
+      return false;
+    case FilterMode::kRing:
+      return true;
+    case FilterMode::kAuto:
+      break;
+  }
+  return spec.chain_length > 1;
+}
 
-// CRTP base: Derived supplies ToDomain(query) -> S::Query. The model holds
-// the *prototype* adapter, immutable after construction; every cursor gets
-// its own copy (cheap — the searchers share their index state behind
-// shared_ptr) and forwards to the templated engine drivers, so the only
-// erased work per call is the query-list conversion.
+/// The chain length the Hamming and set adapters run: 1 is the baseline.
+int AdapterChain(const IndexSpec& spec) {
+  return RingEnabled(spec) ? spec.chain_length : 1;
+}
+
+editdist::EditFilter EditFilterOf(const IndexSpec& spec) {
+  return RingEnabled(spec) ? editdist::EditFilter::kRing
+                           : editdist::EditFilter::kPivotal;
+}
+
+graphed::GraphFilter GraphFilterOf(const IndexSpec& spec) {
+  return RingEnabled(spec) ? graphed::GraphFilter::kRing
+                           : graphed::GraphFilter::kPars;
+}
+
+// CRTP base: Derived supplies ToDomain(query) -> S::Query and
+// Split(partitioner, spec) -> the shard::Split* projection of the
+// prototype. The model holds the *prototype* adapter, immutable after
+// construction — RecordQuery, RawDataset, SaveSections, and self-join
+// probes all read it, which is what keeps a sharded database's persisted
+// bytes and raw dataset identical to an unsharded one's — plus the
+// shard::Fleet every read is served through (BuildFleet). At shards = 1
+// the fleet's one shard is a copy of the prototype (cheap: the searchers
+// share their index state behind shared_ptr), so one cursor serves every
+// database: per-shard scratch copies driven by shard/scatter.h, whose
+// coordinator runs shard 0 on the caller's executor.
 //
 // The delta hooks live on the models too: DeltaMatch is the domain's
 // exact threshold predicate — deliberately the same test the searchers'
 // verification step runs, so a record matched out of the delta side table
 // and the same record matched after compaction agree bit for bit.
-//
-// A model may additionally carry a shard::Fleet (attached by Shard() when
-// spec.shards > 1): the full prototype adapter stays — RecordQuery,
-// RawDataset, SaveSections, and self-join probes all read it, which is
-// what keeps a sharded database's persisted bytes and raw dataset
-// identical to the unsharded ones — and only NewCursor changes, minting a
-// scatter-gather cursor over the fleet instead of a single-adapter one.
 template <typename Derived, engine::Searcher S>
 class ModelBase : public AnySearcher {
  public:
@@ -62,14 +87,10 @@ class ModelBase : public AnySearcher {
   int size() const override { return adapter_.size(); }
 
   std::unique_ptr<AnyCursor> NewCursor() const override {
-    if (fleet_ != nullptr) {
-      return std::make_unique<ShardedCursor>(derived(), adapter_, fleet_);
-    }
-    return std::make_unique<Cursor>(derived(), adapter_);
+    return std::make_unique<Cursor>(derived());
   }
 
   std::vector<int> ShardSizes() const override {
-    if (fleet_ == nullptr) return {adapter_.size()};
     // Counted through the partitioner, not the fleet's shard list: the
     // fleet drops empty shards, but the monitoring surface reports all
     // spec.shards slots.
@@ -83,56 +104,37 @@ class ModelBase : public AnySearcher {
   /// Domains without a ranked/raw duality pass probes through unchanged.
   Query CanonicalizeProbe(const Query& query) const override { return query; }
 
+  /// Assembles the serving fleet; called once, by Finish, after the full
+  /// build or load — shards are projected out of the full index
+  /// (shard/split.h), never built independently. One shard, or a split
+  /// that kept none (an empty collection), serves a prototype copy.
+  void BuildFleet(const IndexSpec& spec) {
+    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
+                                         spec.shards);
+    std::vector<shard::ShardPart<S>> parts;
+    if (spec.shards > 1) parts = derived().Split(partitioner, spec);
+    if (parts.empty()) {
+      std::vector<int> global_ids(static_cast<size_t>(adapter_.size()));
+      std::iota(global_ids.begin(), global_ids.end(), 0);
+      parts.push_back({std::move(global_ids), adapter_, nullptr});
+    }
+    fleet_ = shard::MakeFleet(partitioner, adapter_.size(), std::move(parts));
+  }
+
  protected:
+  // Per-shard scratch adapters, merged through shard/scatter.h's drivers
+  // so the answer is byte-identical to engine::SearchBatch / SelfJoin over
+  // the prototype at any shard / thread count.
   class Cursor : public AnyCursor {
    public:
-    Cursor(const Derived& model, S adapter)
-        : model_(model), adapter_(std::move(adapter)) {}
-
-    std::vector<int> SearchOne(const Query& query,
-                               engine::QueryStats* stats) override {
-      return adapter_.Search(model_.ToDomain(query), stats);
-    }
-
-    std::vector<std::vector<int>> SearchBatch(
-        const std::vector<Query>& queries,
-        const engine::ExecutionContext& ctx,
-        engine::QueryStats* stats) override {
-      std::vector<typename S::Query> domain_queries;
-      domain_queries.reserve(queries.size());
-      for (const Query& query : queries) {
-        domain_queries.push_back(model_.ToDomain(query));
-      }
-      return engine::SearchBatch(adapter_, domain_queries, ctx, stats);
-    }
-
-    std::vector<engine::IdPair> SelfJoin(const engine::ExecutionContext& ctx,
-                                         engine::JoinStats* stats) override {
-      return engine::SelfJoin(adapter_, ctx, stats);
-    }
-
-   private:
     // The owning snapshot outlives every cursor (sessions and in-flight
     // submissions pin it), so a plain reference is safe.
-    const Derived& model_;
-    S adapter_;
-  };
-
-  // The scatter-gather counterpart of Cursor: per-shard scratch adapters,
-  // merged through shard/scatter.h's drivers so the answer is
-  // byte-identical to the unsharded cursor's at any shard / thread count.
-  class ShardedCursor : public AnyCursor {
-   public:
-    ShardedCursor(const Derived& model, const S& full,
-                  std::shared_ptr<const shard::Fleet<S>> fleet)
-        : model_(model),
-          full_(full),
-          fleet_(std::move(fleet)),
-          scratch_(shard::CloneShardAdapters(*fleet_)) {}
+    explicit Cursor(const Derived& model)
+        : model_(model), scratch_(shard::CloneShardAdapters(*model.fleet_)) {}
 
     std::vector<int> SearchOne(const Query& query,
                                engine::QueryStats* stats) override {
-      return shard::ScatterSearchOne(*fleet_, scratch_,
+      return shard::ScatterSearchOne(*model_.fleet_, scratch_,
                                      model_.ToDomain(query), stats);
     }
 
@@ -145,34 +147,18 @@ class ModelBase : public AnySearcher {
       for (const Query& query : queries) {
         domain_queries.push_back(model_.ToDomain(query));
       }
-      return shard::ScatterSearchBatch(*fleet_, scratch_, domain_queries,
-                                       ShardOptions(ctx), stats);
+      return shard::ScatterSearchBatch(*model_.fleet_, scratch_,
+                                       domain_queries, ctx, stats);
     }
 
     std::vector<engine::IdPair> SelfJoin(const engine::ExecutionContext& ctx,
                                          engine::JoinStats* stats) override {
-      return shard::ScatterSelfJoin(*fleet_, full_, scratch_,
-                                    ShardOptions(ctx), stats);
+      return shard::ScatterSelfJoin(*model_.fleet_, model_.adapter_, scratch_,
+                                    ctx, stats);
     }
 
    private:
-    /// The caller's thread budget divided across the shard executors
-    /// (floor, min 1): shards run concurrently, so handing each the full
-    /// width would oversubscribe the machine S-fold. Results are
-    /// byte-identical at any width.
-    engine::ExecutionOptions ShardOptions(
-        const engine::ExecutionContext& ctx) const {
-      const int num_shards =
-          std::max<int>(1, static_cast<int>(fleet_->shards.size()));
-      engine::ExecutionOptions options;
-      options.num_threads = std::max(1, ctx.num_threads() / num_shards);
-      options.chunk = static_cast<int>(ctx.chunk());
-      return options;
-    }
-
     const Derived& model_;
-    const S& full_;  // the model's prototype: supplies self-join probes
-    std::shared_ptr<const shard::Fleet<S>> fleet_;
     std::vector<S> scratch_;  // one mutable clone per shard
   };
 
@@ -180,13 +166,8 @@ class ModelBase : public AnySearcher {
     return static_cast<const Derived&>(*this);
   }
 
-  void AttachFleet(std::shared_ptr<const shard::Fleet<S>> fleet) {
-    fleet_ = std::move(fleet);
-  }
-
   S adapter_;  // the prototype; only read and copied after construction
-  // Present iff spec.shards > 1 (see the class comment).
-  std::shared_ptr<const shard::Fleet<S>> fleet_;
+  std::shared_ptr<const shard::Fleet<S>> fleet_;  // set once, by BuildFleet
 };
 
 class HammingModel : public ModelBase<HammingModel, engine::HammingAdapter> {
@@ -242,14 +223,10 @@ class HammingModel : public ModelBase<HammingModel, engine::HammingAdapter> {
     storage::SaveHammingSections(adapter_.searcher(), writer);
   }
 
-  void Shard(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
-    const int chain = RingEnabled(spec) ? spec.chain_length : 1;
-    AttachFleet(shard::MakeFleet(
-        partitioner, adapter_.size(),
-        shard::SplitHamming(adapter_, partitioner, tau_, chain,
-                            spec.allocation)));
+  auto Split(const shard::Partitioner& partitioner,
+             const IndexSpec& spec) const {
+    return shard::SplitHamming(adapter_, partitioner, tau_, AdapterChain(spec),
+                               spec.allocation);
   }
 
  private:
@@ -371,13 +348,10 @@ class SetModel : public ModelBase<SetModel, engine::SetAdapter> {
     storage::SaveSetSections(*collection_, adapter_.searcher(), writer);
   }
 
-  void Shard(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
-    const int chain = RingEnabled(spec) ? spec.chain_length : 1;
-    AttachFleet(shard::MakeFleet(
-        partitioner, adapter_.size(),
-        shard::SplitSet(adapter_, partitioner, tau_, measure_, chain)));
+  auto Split(const shard::Partitioner& partitioner,
+             const IndexSpec& spec) const {
+    return shard::SplitSet(adapter_, partitioner, tau_, measure_,
+                           AdapterChain(spec));
   }
 
  private:
@@ -410,15 +384,30 @@ class SetModel : public ModelBase<SetModel, engine::SetAdapter> {
   std::vector<int> rank_to_token_;  // inverse of the frequency dictionary
 };
 
-class EditModel : public ModelBase<EditModel, engine::EditAdapter> {
+// The domain's exact threshold predicate, shared by every pipeline that
+// serves the domain (the delta side table's DeltaMatch).
+bool WithinTau(const std::string& a, const std::string& b, int tau) {
+  return editdist::BandedEditDistance(a, b, tau) <= tau;
+}
+
+bool WithinTau(const graphed::Graph& a, const graphed::Graph& b, int tau) {
+  return graphed::GraphEditDistanceWithin(a, b, tau) <= tau;
+}
+
+// The models whose records are a plain std::vector<T> the adapter views
+// through a raw pointer (both edit pipelines and graphs): the model owns
+// the vector and answers every record-level hook straight from it.
+template <typename Derived, engine::Searcher S, typename T, Domain kDomain>
+class RecordModel : public ModelBase<Derived, S> {
  public:
-  EditModel(std::unique_ptr<std::vector<std::string>> data,
-            engine::EditAdapter adapter, int tau)
-      : ModelBase(std::move(adapter)), data_(std::move(data)), tau_(tau) {}
+  RecordModel(std::unique_ptr<std::vector<T>> data, S adapter, int tau)
+      : ModelBase<Derived, S>(std::move(adapter)),
+        data_(std::move(data)),
+        tau_(tau) {}
 
   Status ValidateQuery(const Query& query) const override {
-    if (!std::holds_alternative<std::string>(query)) {
-      return QueryDomainError(QueryDomain(query), Domain::kEdit);
+    if (!std::holds_alternative<T>(query)) {
+      return QueryDomainError(QueryDomain(query), kDomain);
     }
     return Status::Ok();
   }
@@ -434,55 +423,38 @@ class EditModel : public ModelBase<EditModel, engine::EditAdapter> {
   }
 
   bool DeltaMatch(const Query& probe, const Query& record) const override {
-    const std::string& a = std::get<std::string>(probe);
-    const std::string& b = std::get<std::string>(record);
-    return editdist::BandedEditDistance(a, b, tau_) <= tau_;
+    return WithinTau(std::get<T>(probe), std::get<T>(record), tau_);
   }
 
   Dataset RawDataset() const override { return *data_; }
 
-  const std::string& ToDomain(const Query& query) const {
-    return std::get<std::string>(query);
-  }
+  const T& ToDomain(const Query& query) const { return std::get<T>(query); }
+
+ protected:
+  std::unique_ptr<std::vector<T>> data_;
+  int tau_;
+};
+
+class EditModel : public RecordModel<EditModel, engine::EditAdapter,
+                                     std::string, Domain::kEdit> {
+ public:
+  using RecordModel::RecordModel;
 
   void SaveSections(storage::IndexFileWriter& writer) const override {
     storage::SaveEditSections(*data_, adapter_.searcher(), writer);
   }
 
-  void Shard(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
-    const editdist::EditFilter filter = RingEnabled(spec)
-                                            ? editdist::EditFilter::kRing
-                                            : editdist::EditFilter::kPivotal;
-    AttachFleet(shard::MakeFleet(
-        partitioner, adapter_.size(),
-        shard::SplitEdit(adapter_, partitioner, spec.kappa, filter,
-                         spec.chain_length)));
+  auto Split(const shard::Partitioner& partitioner,
+             const IndexSpec& spec) const {
+    return shard::SplitEdit(adapter_, partitioner, spec.kappa,
+                            EditFilterOf(spec), spec.chain_length);
   }
-
- private:
-  std::unique_ptr<std::vector<std::string>> data_;
-  int tau_;
 };
 
-class EditFastModel
-    : public ModelBase<EditFastModel, engine::EditFastAdapter> {
+class EditFastModel : public RecordModel<EditFastModel, engine::EditFastAdapter,
+                                         std::string, Domain::kEdit> {
  public:
-  EditFastModel(std::unique_ptr<std::vector<std::string>> data,
-                engine::EditFastAdapter adapter, int tau)
-      : ModelBase(std::move(adapter)), data_(std::move(data)), tau_(tau) {}
-
-  Status ValidateQuery(const Query& query) const override {
-    if (!std::holds_alternative<std::string>(query)) {
-      return QueryDomainError(QueryDomain(query), Domain::kEdit);
-    }
-    return Status::Ok();
-  }
-
-  StatusOr<Query> RecordQuery(int id) const override {
-    return Query((*data_)[id]);
-  }
+  using RecordModel::RecordModel;
 
   StatusOr<Query> CanonicalizeInsert(const Query& query) const override {
     Status valid = ValidateQuery(query);
@@ -512,110 +484,38 @@ class EditFastModel
     return query;
   }
 
-  bool DeltaMatch(const Query& probe, const Query& record) const override {
-    const std::string& a = std::get<std::string>(probe);
-    const std::string& b = std::get<std::string>(record);
-    return editdist::BandedEditDistance(a, b, tau_) <= tau_;
-  }
-
-  Dataset RawDataset() const override { return *data_; }
-
-  const std::string& ToDomain(const Query& query) const {
-    return std::get<std::string>(query);
-  }
-
   void SaveSections(storage::IndexFileWriter& writer) const override {
     storage::SaveEditFastSections(*data_, adapter_.searcher(), writer);
   }
 
-  void Shard(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
-    AttachFleet(shard::MakeFleet(
-        partitioner, adapter_.size(),
-        shard::SplitEditFast(adapter_, partitioner, spec.chain_length)));
+  auto Split(const shard::Partitioner& partitioner,
+             const IndexSpec& spec) const {
+    return shard::SplitEditFast(adapter_, partitioner, spec.chain_length);
   }
-
- private:
-  std::unique_ptr<std::vector<std::string>> data_;
-  int tau_;
 };
 
-class GraphModel : public ModelBase<GraphModel, engine::GraphAdapter> {
+class GraphModel : public RecordModel<GraphModel, engine::GraphAdapter,
+                                      graphed::Graph, Domain::kGraph> {
  public:
-  GraphModel(std::unique_ptr<std::vector<graphed::Graph>> data,
-             engine::GraphAdapter adapter, int tau)
-      : ModelBase(std::move(adapter)), data_(std::move(data)), tau_(tau) {}
-
-  Status ValidateQuery(const Query& query) const override {
-    if (!std::holds_alternative<graphed::Graph>(query)) {
-      return QueryDomainError(QueryDomain(query), Domain::kGraph);
-    }
-    return Status::Ok();
-  }
-
-  StatusOr<Query> RecordQuery(int id) const override {
-    return Query((*data_)[id]);
-  }
-
-  StatusOr<Query> CanonicalizeInsert(const Query& query) const override {
-    Status valid = ValidateQuery(query);
-    if (!valid.ok()) return valid;
-    return query;
-  }
-
-  bool DeltaMatch(const Query& probe, const Query& record) const override {
-    return graphed::GraphEditDistanceWithin(std::get<graphed::Graph>(probe),
-                                            std::get<graphed::Graph>(record),
-                                            tau_) <= tau_;
-  }
-
-  Dataset RawDataset() const override { return *data_; }
-
-  const graphed::Graph& ToDomain(const Query& query) const {
-    return std::get<graphed::Graph>(query);
-  }
+  using RecordModel::RecordModel;
 
   void SaveSections(storage::IndexFileWriter& writer) const override {
     storage::SaveGraphSections(*data_, adapter_.searcher(), writer);
   }
 
-  void Shard(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
-    const graphed::GraphFilter filter = RingEnabled(spec)
-                                            ? graphed::GraphFilter::kRing
-                                            : graphed::GraphFilter::kPars;
-    AttachFleet(shard::MakeFleet(
-        partitioner, adapter_.size(),
-        shard::SplitGraph(adapter_, partitioner, filter, spec.chain_length)));
+  auto Split(const shard::Partitioner& partitioner,
+             const IndexSpec& spec) const {
+    return shard::SplitGraph(adapter_, partitioner, GraphFilterOf(spec),
+                             spec.chain_length);
   }
-
- private:
-  std::unique_ptr<std::vector<graphed::Graph>> data_;
-  int tau_;
 };
 
-bool RingEnabled(const IndexSpec& spec) {
-  switch (spec.filter) {
-    case FilterMode::kBaseline:
-      return false;
-    case FilterMode::kRing:
-      return true;
-    case FilterMode::kAuto:
-      break;
-  }
-  return spec.chain_length > 1;
-}
-
-/// The tail every Build* / Load* shares: attaches the scatter-gather fleet
-/// when the spec asks for shards, then erases the model. Sharding happens
-/// here — after the full build or load — because the shards are projected
-/// out of the full index (shard/split.h), never built independently.
+/// The tail every Build* / Load* shares: assembles the serving fleet, then
+/// erases the model.
 template <typename Model>
 std::unique_ptr<const AnySearcher> Finish(std::unique_ptr<Model> model,
                                           const IndexSpec& spec) {
-  if (spec.shards > 1) model->Shard(spec);
+  model->BuildFleet(spec);
   return model;
 }
 
@@ -664,10 +564,9 @@ StatusOr<std::unique_ptr<const AnySearcher>> BuildHamming(
           " partitions of a d=" + std::to_string(dimensions) + " index");
     }
   }
-  const int chain = RingEnabled(spec) ? spec.chain_length : 1;
   engine::HammingAdapter adapter(
       hamming::HammingSearcher(std::move(objects), num_parts),
-      static_cast<int>(spec.tau), chain, spec.allocation);
+      static_cast<int>(spec.tau), AdapterChain(spec), spec.allocation);
   return Finish(std::make_unique<HammingModel>(std::move(adapter), dimensions,
                                                static_cast<int>(spec.tau)),
                 spec);
@@ -678,8 +577,8 @@ StatusOr<std::unique_ptr<const AnySearcher>> BuildSet(
   auto collection = std::make_unique<setsim::SetCollection>(raw);
   setsim::PkwiseSearcher searcher(collection.get(), spec.tau, spec.num_boxes,
                                   spec.measure);
-  const int chain = RingEnabled(spec) ? spec.chain_length : 1;
-  engine::SetAdapter adapter(std::move(searcher), collection.get(), chain);
+  engine::SetAdapter adapter(std::move(searcher), collection.get(),
+                             AdapterChain(spec));
   return Finish(std::make_unique<SetModel>(std::move(collection),
                                            std::move(adapter), spec.tau,
                                            spec.measure),
@@ -742,11 +641,8 @@ StatusOr<std::unique_ptr<const AnySearcher>> BuildEdit(
   }
   editdist::EditDistanceSearcher searcher(
       data.get(), static_cast<int>(spec.tau), spec.kappa);
-  const editdist::EditFilter filter = RingEnabled(spec)
-                                          ? editdist::EditFilter::kRing
-                                          : editdist::EditFilter::kPivotal;
-  engine::EditAdapter adapter(std::move(searcher), data.get(), filter,
-                              spec.chain_length);
+  engine::EditAdapter adapter(std::move(searcher), data.get(),
+                              EditFilterOf(spec), spec.chain_length);
   return Finish(std::make_unique<EditModel>(std::move(data),
                                             std::move(adapter),
                                             static_cast<int>(spec.tau)),
@@ -759,11 +655,8 @@ StatusOr<std::unique_ptr<const AnySearcher>> BuildGraph(
       std::make_unique<std::vector<graphed::Graph>>(std::move(graphs));
   graphed::GraphSearcher searcher(data.get(), static_cast<int>(spec.tau),
                                   spec.partition_seed);
-  const graphed::GraphFilter filter = RingEnabled(spec)
-                                          ? graphed::GraphFilter::kRing
-                                          : graphed::GraphFilter::kPars;
-  engine::GraphAdapter adapter(std::move(searcher), data.get(), filter,
-                               spec.chain_length);
+  engine::GraphAdapter adapter(std::move(searcher), data.get(),
+                               GraphFilterOf(spec), spec.chain_length);
   return Finish(std::make_unique<GraphModel>(std::move(data),
                                              std::move(adapter),
                                              static_cast<int>(spec.tau)),
@@ -896,11 +789,10 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadHamming(
         " exceeds the " + std::to_string(num_parts) +
         " partitions of the saved index");
   }
-  const int chain = RingEnabled(spec) ? spec.chain_length : 1;
   engine::HammingAdapter adapter(
       hamming::HammingSearcher::FromBuilt(std::move(loaded->objects),
                                           std::move(loaded->index)),
-      static_cast<int>(spec.tau), chain, spec.allocation);
+      static_cast<int>(spec.tau), AdapterChain(spec), spec.allocation);
   return Finish(std::make_unique<HammingModel>(std::move(adapter), dimensions,
                                                static_cast<int>(spec.tau)),
                 spec);
@@ -913,9 +805,8 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadSet(
   setsim::PkwiseSearcher searcher = setsim::PkwiseSearcher::FromBuilt(
       loaded->collection.get(), spec.tau, spec.num_boxes, spec.measure,
       std::move(loaded->index));
-  const int chain = RingEnabled(spec) ? spec.chain_length : 1;
   engine::SetAdapter adapter(std::move(searcher), loaded->collection.get(),
-                             chain);
+                             AdapterChain(spec));
   return Finish(std::make_unique<SetModel>(std::move(loaded->collection),
                                            std::move(adapter), spec.tau,
                                            spec.measure),
@@ -950,11 +841,8 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadEdit(
       editdist::EditDistanceSearcher::FromBuilt(
           loaded->data.get(), static_cast<int>(spec.tau), spec.kappa,
           std::move(loaded->index));
-  const editdist::EditFilter filter = RingEnabled(spec)
-                                          ? editdist::EditFilter::kRing
-                                          : editdist::EditFilter::kPivotal;
   engine::EditAdapter adapter(std::move(searcher), loaded->data.get(),
-                              filter, spec.chain_length);
+                              EditFilterOf(spec), spec.chain_length);
   return Finish(std::make_unique<EditModel>(std::move(loaded->data),
                                             std::move(adapter),
                                             static_cast<int>(spec.tau)),
@@ -969,11 +857,8 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadGraph(
   graphed::GraphSearcher searcher = graphed::GraphSearcher::FromBuilt(
       loaded->data.get(), static_cast<int>(spec.tau),
       std::move(loaded->state));
-  const graphed::GraphFilter filter = RingEnabled(spec)
-                                          ? graphed::GraphFilter::kRing
-                                          : graphed::GraphFilter::kPars;
   engine::GraphAdapter adapter(std::move(searcher), loaded->data.get(),
-                               filter, spec.chain_length);
+                               GraphFilterOf(spec), spec.chain_length);
   return Finish(std::make_unique<GraphModel>(std::move(loaded->data),
                                              std::move(adapter),
                                              static_cast<int>(spec.tau)),

@@ -28,11 +28,13 @@ class IndexFileWriter;
 
 namespace pigeonring::api::internal {
 
-/// Mutable per-caller probe state over one immutable snapshot — the erased
-/// counterpart of an engine adapter clone. Each Session owns one (and each
+/// Mutable per-caller probe state over one immutable snapshot: one scratch
+/// clone per shard of the snapshot's shard::Fleet (a single clone of the
+/// prototype adapter at shards = 1). Each Session owns one (and each
 /// in-flight async submission owns another); a cursor is never shared
 /// between threads. Virtual dispatch happens once per call; the templated
-/// engine drivers run underneath unchanged.
+/// shard/scatter.h drivers run underneath, and run shard 0 on the
+/// ExecutionContext passed in.
 class AnyCursor {
  public:
   virtual ~AnyCursor() = default;
@@ -57,10 +59,10 @@ class AnySearcher {
   /// validated.
   virtual Status ValidateQuery(const Query& query) const = 0;
   virtual std::unique_ptr<AnyCursor> NewCursor() const = 0;
-  /// Record counts per shard, in ascending shard order — {size()} for an
-  /// unsharded snapshot, spec.shards entries (possibly 0) for a sharded
-  /// one. Monitoring surface (Db::ShardStats -> the net stats op).
-  virtual std::vector<int> ShardSizes() const { return {size()}; }
+  /// Record counts per shard, in ascending shard order: spec.shards
+  /// entries (possibly 0), so {size()} at shards = 1. Monitoring surface
+  /// (Db::ShardStats -> the net stats op).
+  virtual std::vector<int> ShardSizes() const = 0;
   /// Serializes the snapshot's built state into typed sections of `writer`
   /// (storage/index_io.h) — the Db::Save half of the persistent index
   /// format. Deterministic: two calls on the same snapshot add

@@ -97,11 +97,13 @@ struct IndexSpec {
   /// Probes claimed per scheduling step by the thread pool.
   int chunk = 8;
 
-  /// Scatter-gather shard count S (src/shard/): the collection is
-  /// partitioned round-robin into S shards, each with its own projected
-  /// searcher and executor, and every query / self-join is scattered to
-  /// all shards and merged byte-identically to the unsharded answer. 1 (the
-  /// default) serves the single unsharded searcher. A serving-time knob:
+  /// Scatter-gather shard count S (src/shard/): every database serves
+  /// through a fleet of S round-robin shards, each a projected searcher,
+  /// and every query / self-join is scattered to all shards and merged
+  /// byte-identically to the one-searcher answer. The caller's thread runs
+  /// shard 0 on the snapshot executor; shards 1..S-1 run on executors of
+  /// their own. 1 (the default) is a one-shard fleet over the built
+  /// searcher itself, which submits nothing. A serving-time knob:
   /// excluded from BuildFingerprint and from the kSpec section, but
   /// Db::Save records the shard map of a sharded database and
   /// Db::OpenIndex adopts it when the opening spec leaves shards at 1

@@ -92,6 +92,7 @@ class ExecutionContext {
     executor_->EnsureThreads(num_threads_);
   }
 
+  Executor& executor() const { return *executor_; }
   ThreadPool& pool() const { return executor_->pool(); }
   /// The loop width: how many threads (caller included) a driver may use,
   /// and how many searcher clones it needs.

@@ -1,20 +1,25 @@
-// The sharded scatter-gather coordinator (ROADMAP item 4).
+// The scatter-gather coordinator every api::Db serves through (ROADMAP
+// item 4).
 //
-// A Fleet is the serving-time shape of one sharded collection: the
-// partitioner, one projected searcher per nonempty shard (see
-// shard/split.h), and one engine::Executor per shard so shards run their
-// data-parallel loops on disjoint thread pools (shard-per-core locality;
-// a shared pool would serialize the per-shard loops, see
-// common/thread_pool.h).
+// A Fleet is the serving-time shape of one collection: the partitioner and
+// one searcher per nonempty shard. At shards = 1 the single shard is a copy
+// of the built prototype adapter (index state shared behind shared_ptr,
+// global ids [0, N)); at S > 1 the shards are projected out of it (see
+// shard/split.h). Shards 1..S-1 each own an engine::Executor, so shards run
+// their data-parallel loops on disjoint thread pools (shard-per-core
+// locality; a shared pool would serialize the per-shard loops, see
+// common/thread_pool.h). Shard 0 owns none: the coordinator runs it on the
+// caller's executor.
 //
 // The scatter drivers mirror engine/engine.h's merge contracts exactly, so
-// the gathered answer is byte-identical to the unsharded one at any shard
-// count and any thread count:
+// the gathered answer is byte-identical to engine::SearchBatch / SelfJoin
+// over the full adapter at any shard count and any thread count:
 //
 //  * ScatterSearchOne / ScatterSearchBatch: every shard searches the same
-//    query; local hits are remapped through the shard's global-id list,
-//    concatenated, and sorted (each domain returns sorted ids, so the
-//    sorted union equals the unsharded sorted result). Stats are summed in
+//    query; local hits are remapped through the shard's ascending
+//    global-id list and merged (each domain returns sorted ids, so the
+//    merged union equals the unsharded sorted result; one shard's hits
+//    pass through as they are). Stats are summed in
 //    ascending shard order with the existing QueryStats::operator+= —
 //    integral counters partition exactly across shards (split.h explains
 //    why), so the sums reproduce the unsharded counters.
@@ -26,12 +31,18 @@
 //    `--candidates` the unsharded driver applies; concatenated pair
 //    buffers are sorted + deduplicated into the same canonical order.
 //
-// Concurrency: the batch and join drivers Submit one job per shard and
-// block on a latch. Each job drives ParallelFor on its own shard's pool,
-// so jobs never contend for loop workers, and the coordinator thread —
-// which may itself be a dispatcher of the full snapshot's executor — never
-// waits on its own pool (no cycle, no deadlock). Jobs capture only
-// stack-local state of the blocked caller.
+// Concurrency: the batch and join drivers Submit one job per shard 1..S-1
+// to that shard's executor, run shard 0 themselves on the caller's
+// ExecutionContext, then block on a latch for the rest. Every shard gets
+// the caller's loop width divided across the S shards (floor, min 1), so
+// concurrent shards do not oversubscribe the machine S-fold. An S = 1 call
+// therefore submits nothing and runs exactly like engine::SearchBatch on
+// the caller's executor; an S-shard call submits S-1 jobs. Each job drives
+// ParallelFor on its own shard's pool, so jobs never contend for loop
+// workers, and no job ever waits on the caller's pool — the caller may
+// itself be a dispatcher of that pool's executor (Session::SubmitBatch)
+// without a cycle. Jobs capture only stack-local state of the blocked
+// caller.
 //
 // This header is deliberately narrow: the coordinator needs only
 // (global_ids, Search, executor) per shard, so a follow-up can put a
@@ -41,11 +52,14 @@
 #define PIGEONRING_SHARD_SCATTER_H_
 
 #include <algorithm>
+#include <cstddef>
+#include <exception>
 #include <latch>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/timer.h"
 #include "engine/engine.h"
 #include "shard/partitioner.h"
@@ -53,16 +67,17 @@
 
 namespace pigeonring::shard {
 
-/// One sharded collection, ready to serve. Immutable after assembly and
-/// shared between cursors behind shared_ptr<const Fleet>; the executors
-/// are internally synchronized (the same const-DbState pattern the api
-/// layer uses).
+/// One collection, ready to serve: always at least one shard. Immutable
+/// after assembly and shared between cursors behind shared_ptr<const
+/// Fleet>; the executors are internally synchronized (the same
+/// const-DbState pattern the api layer uses).
 template <engine::Searcher S>
 struct Fleet {
   struct Shard {
     std::vector<int> global_ids;  // local id -> global id, ascending
     S adapter;                    // prototype; cursors copy it for scratch
     std::shared_ptr<const void> backing;
+    // Null for shard 0, which runs on the caller's executor.
     std::unique_ptr<engine::Executor> executor;
   };
 
@@ -71,18 +86,23 @@ struct Fleet {
   std::vector<Shard> shards;  // nonempty shards, ascending shard id
 };
 
+/// Assembles a fleet from at least one part; every part but the first
+/// gets its own single-thread executor.
 template <engine::Searcher S>
 std::shared_ptr<const Fleet<S>> MakeFleet(const Partitioner& partitioner,
                                           int num_records,
                                           std::vector<ShardPart<S>> parts) {
+  PR_CHECK(!parts.empty());
   auto fleet = std::make_shared<Fleet<S>>();
   fleet->partitioner = partitioner;
   fleet->num_records = num_records;
   fleet->shards.reserve(parts.size());
   for (ShardPart<S>& part : parts) {
-    fleet->shards.push_back({std::move(part.global_ids),
-                             std::move(part.adapter), std::move(part.backing),
-                             std::make_unique<engine::Executor>(1)});
+    fleet->shards.push_back(
+        {std::move(part.global_ids), std::move(part.adapter),
+         std::move(part.backing),
+         fleet->shards.empty() ? nullptr
+                               : std::make_unique<engine::Executor>(1)});
   }
   return fleet;
 }
@@ -97,6 +117,57 @@ std::vector<S> CloneShardAdapters(const Fleet<S>& fleet) {
   return scratch;
 }
 
+namespace internal {
+
+/// Remaps shard `s`'s ascending local hits to global ids in place and
+/// merges them into the ascending `out`; the first hits move in uncopied.
+template <engine::Searcher S>
+void MergeGlobal(const Fleet<S>& fleet, size_t s, std::vector<int>&& local,
+                 std::vector<int>& out) {
+  const std::vector<int>& global_ids = fleet.shards[s].global_ids;
+  for (int& id : local) id = global_ids[static_cast<size_t>(id)];
+  if (out.empty()) {
+    out = std::move(local);
+    return;
+  }
+  const auto mid = static_cast<std::ptrdiff_t>(out.size());
+  out.insert(out.end(), local.begin(), local.end());
+  std::inplace_merge(out.begin(), out.begin() + mid, out.end());
+}
+
+/// Runs `job(s, context)` once per shard and returns when all are done:
+/// shards 1..S-1 as jobs on their own executors, shard 0 inline on the
+/// caller's executor (see the header comment). Each context carries the
+/// caller's width divided across the shards.
+template <engine::Searcher S, typename Job>
+void ForEachShard(const Fleet<S>& fleet, const engine::ExecutionContext& ctx,
+                  Job&& job) {
+  const size_t num_shards = fleet.shards.size();
+  engine::ExecutionOptions options;
+  options.num_threads =
+      std::max(1, ctx.num_threads() / static_cast<int>(num_shards));
+  options.chunk = static_cast<int>(ctx.chunk());
+  std::latch done(static_cast<ptrdiff_t>(num_shards) - 1);
+  for (size_t s = 1; s < num_shards; ++s) {
+    engine::Executor& executor = *fleet.shards[s].executor;
+    executor.Submit([&, s] {
+      job(s, engine::ExecutionContext(executor, options));
+      done.count_down();
+    });
+  }
+  // The submitted jobs reference this frame: never unwind past them.
+  std::exception_ptr error;
+  try {
+    job(size_t{0}, engine::ExecutionContext(ctx.executor(), options));
+  } catch (...) {
+    error = std::current_exception();
+  }
+  done.wait();
+  if (error) std::rethrow_exception(error);
+}
+
+}  // namespace internal
+
 /// Sequential scatter for one query (single-query latency does not warrant
 /// a fan-out; the per-shard loops already are the parallelism).
 template <engine::Searcher S>
@@ -108,49 +179,37 @@ std::vector<int> ScatterSearchOne(const Fleet<S>& fleet,
   std::vector<int> ids;
   for (size_t s = 0; s < fleet.shards.size(); ++s) {
     engine::QueryStats shard_stats;
-    const std::vector<int> local = scratch[s].Search(query, &shard_stats);
-    for (int l : local) {
-      ids.push_back(fleet.shards[s].global_ids[static_cast<size_t>(l)]);
-    }
+    internal::MergeGlobal(fleet, s, scratch[s].Search(query, &shard_stats),
+                          ids);
     merged += shard_stats;
   }
-  std::sort(ids.begin(), ids.end());
   if (stats != nullptr) *stats = merged;
   return ids;
 }
 
-/// Scatters the whole batch to every shard (one job per shard executor),
-/// gathers per query. Blocks until every shard has answered.
+/// Scatters the whole batch to every shard, gathers per query. Blocks
+/// until every shard has answered.
 template <engine::Searcher S>
 std::vector<std::vector<int>> ScatterSearchBatch(
     const Fleet<S>& fleet, std::vector<S>& scratch,
     const std::vector<typename S::Query>& queries,
-    const engine::ExecutionOptions& options,
+    const engine::ExecutionContext& ctx,
     engine::QueryStats* stats = nullptr) {
   const size_t num_shards = fleet.shards.size();
   std::vector<std::vector<std::vector<int>>> shard_results(num_shards);
   std::vector<engine::QueryStats> shard_stats(num_shards);
-  std::latch done(static_cast<ptrdiff_t>(num_shards));
-  for (size_t s = 0; s < num_shards; ++s) {
-    fleet.shards[s].executor->Submit([&, s] {
-      shard_results[s] = engine::SearchBatch(
-          scratch[s], queries,
-          engine::ExecutionContext(*fleet.shards[s].executor, options),
-          &shard_stats[s]);
-      done.count_down();
-    });
-  }
-  done.wait();
+  internal::ForEachShard(
+      fleet, ctx, [&](size_t s, const engine::ExecutionContext& context) {
+        shard_results[s] = engine::SearchBatch(scratch[s], queries, context,
+                                               &shard_stats[s]);
+      });
 
   std::vector<std::vector<int>> results(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    std::vector<int>& merged = results[q];
     for (size_t s = 0; s < num_shards; ++s) {
-      for (int l : shard_results[s][q]) {
-        merged.push_back(fleet.shards[s].global_ids[static_cast<size_t>(l)]);
-      }
+      internal::MergeGlobal(fleet, s, std::move(shard_results[s][q]),
+                            results[q]);
     }
-    std::sort(merged.begin(), merged.end());
   }
   if (stats != nullptr) {
     engine::QueryStats merged;
@@ -167,60 +226,53 @@ std::vector<std::vector<int>> ScatterSearchBatch(
 template <engine::Searcher S>
 std::vector<engine::IdPair> ScatterSelfJoin(
     const Fleet<S>& fleet, const S& full, std::vector<S>& scratch,
-    const engine::ExecutionOptions& options,
+    const engine::ExecutionContext& ctx,
     engine::JoinStats* stats = nullptr) {
   StopWatch watch;
   const size_t num_shards = fleet.shards.size();
   const int64_t num_probes = fleet.num_records;
   std::vector<std::vector<engine::IdPair>> shard_pairs(num_shards);
   std::vector<engine::QueryStats> shard_stats(num_shards);
-  std::latch done(static_cast<ptrdiff_t>(num_shards));
-  for (size_t s = 0; s < num_shards; ++s) {
-    fleet.shards[s].executor->Submit([&, s] {
-      const engine::ExecutionContext context(*fleet.shards[s].executor,
-                                             options);
-      const std::vector<int>& global_ids = fleet.shards[s].global_ids;
-      std::vector<S> clones;
-      const auto searchers = engine::internal::CloneForThreads(
-          scratch[s], clones, context.num_threads());
-      std::vector<std::vector<engine::IdPair>> found(searchers.size());
-      std::vector<engine::QueryStats> partial(searchers.size());
-      context.pool().ParallelFor(
-          num_probes, context.chunk(), context.num_threads(),
-          [&](int thread, int64_t begin, int64_t end) {
-            for (int64_t i = begin; i < end; ++i) {
-              const int probe = static_cast<int>(i);
-              engine::QueryStats query_stats;
-              const auto local_ids =
-                  searchers[thread]->Search(full.query(probe), &query_stats);
-              for (int l : local_ids) {
-                const int id = global_ids[static_cast<size_t>(l)];
-                if (id == probe) {
-                  // Same rule as engine::SelfJoin: the probe's trivial hit
-                  // on itself (distance 0) surfaces exactly once fleet-wide
-                  // — on its owner shard — and leaves the counters there.
-                  --query_stats.candidates;
-                  continue;
+  internal::ForEachShard(
+      fleet, ctx, [&](size_t s, const engine::ExecutionContext& context) {
+        const std::vector<int>& global_ids = fleet.shards[s].global_ids;
+        std::vector<S> clones;
+        const auto searchers = engine::internal::CloneForThreads(
+            scratch[s], clones, context.num_threads());
+        std::vector<std::vector<engine::IdPair>> found(searchers.size());
+        std::vector<engine::QueryStats> partial(searchers.size());
+        context.pool().ParallelFor(
+            num_probes, context.chunk(), context.num_threads(),
+            [&](int thread, int64_t begin, int64_t end) {
+              for (int64_t i = begin; i < end; ++i) {
+                const int probe = static_cast<int>(i);
+                engine::QueryStats query_stats;
+                const auto local_ids =
+                    searchers[thread]->Search(full.query(probe), &query_stats);
+                for (int l : local_ids) {
+                  const int id = global_ids[static_cast<size_t>(l)];
+                  if (id == probe) {
+                    // Same rule as engine::SelfJoin: the probe's trivial hit
+                    // on itself (distance 0) surfaces exactly once
+                    // fleet-wide — on its owner shard — and leaves the
+                    // counters there.
+                    --query_stats.candidates;
+                    continue;
+                  }
+                  found[thread].push_back(
+                      {std::min(probe, id), std::max(probe, id)});
                 }
-                found[thread].push_back(
-                    {std::min(probe, id), std::max(probe, id)});
+                partial[thread] += query_stats;
               }
-              partial[thread] += query_stats;
-            }
-          });
-      size_t total = 0;
-      for (const auto& f : found) total += f.size();
-      shard_pairs[s].reserve(total);
-      for (const auto& f : found) {
-        shard_pairs[s].insert(shard_pairs[s].end(), f.begin(), f.end());
-      }
-      engine::QueryStats merged;
-      for (const engine::QueryStats& p : partial) merged += p;
-      shard_stats[s] = merged;
-      done.count_down();
-    });
-  }
-  done.wait();
+            });
+        size_t total = 0;
+        for (const auto& f : found) total += f.size();
+        shard_pairs[s].reserve(total);
+        for (const auto& f : found) {
+          shard_pairs[s].insert(shard_pairs[s].end(), f.begin(), f.end());
+        }
+        for (const engine::QueryStats& p : partial) shard_stats[s] += p;
+      });
 
   size_t total = 0;
   for (const auto& p : shard_pairs) total += p.size();

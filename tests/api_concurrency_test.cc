@@ -5,10 +5,13 @@
 //    Session, running the same search batch and self-join — every thread's
 //    ids, pairs, and deterministic counters must be byte-identical to the
 //    sequential single-session reference, in all four domains.
+//    One case runs on a shards = 2 database, where every client thread
+//    coordinates its own scatter.
 //  * Async*: Session::SubmitBatch / SubmitSelfJoin futures must carry
-//    exactly the synchronous results, be harvestable out of submission
-//    order and from overlapping submissions, and resolve validation
-//    errors without reaching the executor.
+//    exactly the synchronous results (also on a shards = 2 database, where
+//    the snapshot dispatcher runs shard 0), be harvestable out of
+//    submission order and from overlapping submissions, and resolve
+//    validation errors without reaching the executor.
 //  * Snapshot lifetime: Sessions (and in-flight futures) pin the snapshot,
 //    so they keep working after every Db handle is gone.
 //
@@ -19,6 +22,7 @@
 
 #include <chrono>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -41,7 +45,7 @@ Db OpenOrDie(const IndexSpec& spec, Dataset dataset) {
   return std::move(opened).value();
 }
 
-Db OpenHamming() {
+Db OpenHamming(int shards = 1) {
   datagen::BinaryVectorConfig config;
   config.dimensions = 64;
   config.num_objects = 250;
@@ -53,6 +57,7 @@ Db OpenHamming() {
   spec.domain = Domain::kHamming;
   spec.tau = 8;
   spec.chain_length = 3;
+  spec.shards = shards;
   return OpenOrDie(spec, Dataset(datagen::GenerateBinaryVectors(config)));
 }
 
@@ -170,6 +175,12 @@ TEST(ConcurrentSessionsTest, Hamming) {
   ExpectConcurrentSessionsMatchSequential(OpenHamming());
 }
 
+TEST(ConcurrentSessionsTest, ShardedHamming) {
+  // Each client thread coordinates its own scatter: shard 0 on the shared
+  // snapshot executor, shard 1 on the shard's executor, both at 1 thread.
+  ExpectConcurrentSessionsMatchSequential(OpenHamming(/*shards=*/2));
+}
+
 TEST(ConcurrentSessionsTest, Sets) {
   ExpectConcurrentSessionsMatchSequential(OpenSets());
 }
@@ -215,6 +226,36 @@ TEST(AsyncSubmissionTest, FuturesCarryTheSynchronousResults) {
   auto async_join = join_future.Get();
   ASSERT_TRUE(async_join.ok()) << async_join.status().ToString();
   EXPECT_EQ(async_join->pairs, sync_join->pairs);
+}
+
+TEST(AsyncSubmissionTest, ShardedSubmissionsCarryTheSequentialResults) {
+  // A submission's job runs on a snapshot dispatcher thread, which then
+  // coordinates the scatter: shard 0 runs right there, on the snapshot
+  // executor's pool, while shard 1 runs on its own executor.
+  const Db db = OpenHamming(/*shards=*/2);
+  Session session = db.NewSession();
+  const std::vector<Query> queries = SampleQueries(db, 16);
+  auto expected = session.SearchBatch(queries);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  auto expected_join = session.SelfJoin();
+  ASSERT_TRUE(expected_join.ok()) << expected_join.status().ToString();
+
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    RunOptions options;
+    options.num_threads = threads;
+    auto batch_future = session.SubmitBatch(queries, options);
+    auto join_future = session.SubmitSelfJoin(options);
+    auto batch = batch_future.Get();
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(batch->ids, expected->ids);
+    ExpectSameCounters(batch->stats, expected->stats);
+    auto join = join_future.Get();
+    ASSERT_TRUE(join.ok()) << join.status().ToString();
+    EXPECT_EQ(join->pairs, expected_join->pairs);
+    EXPECT_EQ(join->stats.pairs, expected_join->stats.pairs);
+    EXPECT_EQ(join->stats.candidates, expected_join->stats.candidates);
+  }
 }
 
 TEST(AsyncSubmissionTest, WaitForReportsReadinessWithoutConsuming) {

@@ -1,12 +1,12 @@
 // Tests for the public api::Db facade.
 //
 // The load-bearing suite is the golden diff: for every domain, searches
-// and self-joins through the type-erased Db must produce exactly the ids,
-// pairs, and deterministic counters of the pre-redesign path (a hand-wired
-// engine adapter over the domain searcher, the way the CLI and benches
-// used to be written). The rest covers the typed error surface: spec
-// validation, dataset/domain and query/domain mismatches, and the
-// facade's threading overrides.
+// and self-joins through the type-erased Db, at shards = 1 and 2, must
+// produce exactly the ids, pairs, and deterministic counters of the
+// pre-redesign path (a hand-wired engine adapter over the domain searcher,
+// the way the CLI and benches used to be written). The rest covers the
+// typed error surface: spec validation, dataset/domain and query/domain
+// mismatches, and the facade's threading overrides.
 
 #include "api/db.h"
 
@@ -73,49 +73,59 @@ std::vector<graphed::Graph> MakeGraphs(int n, uint64_t seed) {
 }
 
 // Runs the same workload through a hand-wired adapter (the pre-redesign
-// consumer path) and through the Db facade, and requires byte-identical
-// ids, pairs, and counters.
+// consumer path) and through the Db facade opened from `spec` at shards = 1
+// and at shards = 2, and requires byte-identical ids, pairs, and counters.
+// The reference is engine::SearchBatch / SelfJoin, code outside
+// shard/scatter.h, so both shard counts stay pinned to it.
 template <engine::Searcher S>
-void ExpectFacadeMatchesAdapter(S& adapter, StatusOr<Db> opened,
+void ExpectFacadeMatchesAdapter(S& adapter, const IndexSpec& spec,
+                                const Dataset& dataset,
                                 const std::vector<int>& query_ids) {
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  Db db = std::move(opened).value();
-  ASSERT_EQ(db.num_records(), adapter.size());
-  Session session = db.NewSession();
-
-  // Search batch: ids in input order + summed counters.
   std::vector<typename S::Query> adapter_queries;
-  std::vector<Query> db_queries;
-  for (int id : query_ids) {
-    adapter_queries.push_back(adapter.query(id));
-    auto query = db.RecordQuery(id);
-    ASSERT_TRUE(query.ok()) << query.status().ToString();
-    db_queries.push_back(std::move(query).value());
-  }
+  for (int id : query_ids) adapter_queries.push_back(adapter.query(id));
   engine::Executor executor;
   const engine::ExecutionContext context(executor, {});
   engine::QueryStats adapter_stats;
   const auto expected_ids =
       engine::SearchBatch(adapter, adapter_queries, context, &adapter_stats);
-  auto batch = session.SearchBatch(db_queries);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_EQ(batch->ids, expected_ids);
-  ExpectSameCounters(batch->stats, adapter_stats);
-
-  // Single search: same as its batch slot.
-  auto single = session.Search(db_queries.front());
-  ASSERT_TRUE(single.ok()) << single.status().ToString();
-  EXPECT_EQ(single->ids, expected_ids.front());
-
-  // Self-join: pairs + counters.
   engine::JoinStats adapter_join;
   const auto expected_pairs =
       engine::SelfJoin(adapter, context, &adapter_join);
-  auto join = session.SelfJoin();
-  ASSERT_TRUE(join.ok()) << join.status().ToString();
-  EXPECT_EQ(join->pairs, expected_pairs);
-  EXPECT_EQ(join->stats.pairs, adapter_join.pairs);
-  EXPECT_EQ(join->stats.candidates, adapter_join.candidates);
+
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    IndexSpec sharded = spec;
+    sharded.shards = shards;
+    auto opened = Db::Open(sharded, dataset);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    Db db = std::move(opened).value();
+    ASSERT_EQ(db.num_records(), adapter.size());
+    Session session = db.NewSession();
+
+    // Search batch: ids in input order + summed counters.
+    std::vector<Query> db_queries;
+    for (int id : query_ids) {
+      auto query = db.RecordQuery(id);
+      ASSERT_TRUE(query.ok()) << query.status().ToString();
+      db_queries.push_back(std::move(query).value());
+    }
+    auto batch = session.SearchBatch(db_queries);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(batch->ids, expected_ids);
+    ExpectSameCounters(batch->stats, adapter_stats);
+
+    // Single search: same as its batch slot.
+    auto single = session.Search(db_queries.front());
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    EXPECT_EQ(single->ids, expected_ids.front());
+
+    // Self-join: pairs + counters.
+    auto join = session.SelfJoin();
+    ASSERT_TRUE(join.ok()) << join.status().ToString();
+    EXPECT_EQ(join->pairs, expected_pairs);
+    EXPECT_EQ(join->stats.pairs, adapter_join.pairs);
+    EXPECT_EQ(join->stats.candidates, adapter_join.candidates);
+  }
 }
 
 TEST(DbGoldenDiffTest, Hamming) {
@@ -125,7 +135,7 @@ TEST(DbGoldenDiffTest, Hamming) {
   spec.domain = Domain::kHamming;
   spec.tau = 8;
   spec.chain_length = 3;
-  ExpectFacadeMatchesAdapter(adapter, Db::Open(spec, Dataset(objects)),
+  ExpectFacadeMatchesAdapter(adapter, spec, Dataset(objects),
                              {0, 7, 42, 113, 399});
 }
 
@@ -138,7 +148,7 @@ TEST(DbGoldenDiffTest, Sets) {
   spec.domain = Domain::kSet;
   spec.tau = 0.7;
   spec.chain_length = 2;
-  ExpectFacadeMatchesAdapter(adapter, Db::Open(spec, Dataset(raw)),
+  ExpectFacadeMatchesAdapter(adapter, spec, Dataset(raw),
                              {1, 17, 200, 399});
 }
 
@@ -150,7 +160,7 @@ TEST(DbGoldenDiffTest, Strings) {
   spec.domain = Domain::kEdit;
   spec.tau = 2;
   spec.chain_length = 3;
-  ExpectFacadeMatchesAdapter(adapter, Db::Open(spec, Dataset(data)),
+  ExpectFacadeMatchesAdapter(adapter, spec, Dataset(data),
                              {0, 50, 150, 299});
 }
 
@@ -164,7 +174,7 @@ TEST(DbGoldenDiffTest, StringsBaselineFilter) {
   spec.domain = Domain::kEdit;
   spec.tau = 2;
   spec.chain_length = 1;
-  ExpectFacadeMatchesAdapter(adapter, Db::Open(spec, Dataset(data)),
+  ExpectFacadeMatchesAdapter(adapter, spec, Dataset(data),
                              {3, 99, 249});
 }
 
@@ -176,7 +186,7 @@ TEST(DbGoldenDiffTest, Graphs) {
   spec.domain = Domain::kGraph;
   spec.tau = 2;
   spec.chain_length = 2;
-  ExpectFacadeMatchesAdapter(adapter, Db::Open(spec, Dataset(data)),
+  ExpectFacadeMatchesAdapter(adapter, spec, Dataset(data),
                              {0, 30, 119});
 }
 
@@ -722,7 +732,7 @@ TEST(DbGoldenDiffTest, StringsFastPathFacade) {
   spec.tau = 2;
   spec.chain_length = 3;
   spec.edit_fast_path = EditFastPath::kOn;
-  ExpectFacadeMatchesAdapter(adapter, Db::Open(spec, Dataset(data)),
+  ExpectFacadeMatchesAdapter(adapter, spec, Dataset(data),
                              {0, 50, 150, 199});
 }
 

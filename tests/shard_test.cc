@@ -3,17 +3,25 @@
 // The load-bearing suite is the byte-identity pin: for every domain
 // (including the edit fast path), a Db opened with shards in {2, 4} must
 // answer SearchBatch / Search / SelfJoin with exactly the ids, pairs, and
-// deterministic counters of the unsharded (shards = 1) database, at
-// several thread counts. The rest covers the partitioner's mapping and
-// codec, the shards <-> records edge cases (empty collection, one record,
-// more shards than records), the Save/OpenIndex shard-map round-trip, the
-// per-shard monitoring surface, and a writer-churn test that runs under
-// TSan in CI (sharded readers scattering while a writer mutates).
+// deterministic counters of the shards = 1 database, at several thread
+// counts. Every Db serves through shard/scatter.h, so both sides of that
+// pin run through the same drivers; api_test's DbGoldenDiffTest holds
+// shards 1 and 2 to engine::SearchBatch / SelfJoin, code outside the
+// scatter path. ScatterThreadsTest pins where each shard runs: shard 0 on
+// the calling thread, shards 1..S-1 on their own executors. The rest
+// covers the partitioner's mapping and codec, the shards <-> records edge
+// cases (empty collection, one record, more shards than records), the
+// Save/OpenIndex shard-map round-trip, the per-shard monitoring surface,
+// and a writer-churn test that runs under TSan in CI (sharded readers
+// scattering while a writer mutates).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -28,6 +36,7 @@
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
 #include "shard/partitioner.h"
+#include "shard/scatter.h"
 #include "storage/bytes.h"
 #include "test_scratch.h"
 
@@ -309,6 +318,74 @@ TEST(ShardPersistTest, SaveRecordsShardMapAndOpenIndexAdoptsIt) {
   // Either way the answers match the in-memory database.
   ExpectShardedMatchesUnsharded(flat, *adopted);
   ExpectShardedMatchesUnsharded(flat, *overridden);
+}
+
+// --- where the scatter drivers run each shard ---
+
+struct ThreadLog {
+  std::mutex mu;
+  std::vector<std::set<std::thread::id>> per_shard;
+};
+
+// A one-record Searcher that logs the thread each of its searches ran on.
+struct RecordingSearcher {
+  using Query = int;
+  int shard = 0;
+  std::shared_ptr<ThreadLog> log;
+
+  int size() const { return 1; }
+  const int& query(int) const { return shard; }
+  std::vector<int> Search(const int&, engine::QueryStats*) {
+    std::lock_guard<std::mutex> lock(log->mu);
+    log->per_shard[static_cast<size_t>(shard)].insert(
+        std::this_thread::get_id());
+    return {0};
+  }
+};
+
+TEST(ScatterThreadsTest, CoordinatorRunsShardZeroAndSubmitsOnlyTheRest) {
+  for (int num_shards : {1, 2, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(num_shards));
+    auto log = std::make_shared<ThreadLog>();
+    log->per_shard.resize(static_cast<size_t>(num_shards));
+    std::vector<shard::ShardPart<RecordingSearcher>> parts;
+    for (int s = 0; s < num_shards; ++s) {
+      parts.push_back({{s}, RecordingSearcher{s, log}, nullptr});
+    }
+    const auto fleet = shard::MakeFleet(
+        shard::Partitioner(shard::PlacementMode::kRoundRobin, num_shards),
+        num_shards, std::move(parts));
+    // Only shards 1..S-1 own an executor, so S = 1 has nothing to submit.
+    for (int s = 0; s < num_shards; ++s) {
+      EXPECT_EQ(fleet->shards[static_cast<size_t>(s)].executor != nullptr,
+                s > 0);
+    }
+
+    std::vector<RecordingSearcher> scratch = shard::CloneShardAdapters(*fleet);
+    engine::Executor executor;
+    const engine::ExecutionContext context(executor, {});
+    std::vector<int> every_shard(static_cast<size_t>(num_shards));
+    std::iota(every_shard.begin(), every_shard.end(), 0);
+    const auto results = shard::ScatterSearchBatch(
+        *fleet, scratch, std::vector<int>(4, 0), context);
+    for (const std::vector<int>& ids : results) EXPECT_EQ(ids, every_shard);
+    shard::ScatterSelfJoin(*fleet, fleet->shards[0].adapter, scratch,
+                           context);
+
+    // Shard 0 ran only on this thread (a 1-thread context runs its loop
+    // inline); every other shard ran only on threads of its own executor.
+    const std::thread::id caller = std::this_thread::get_id();
+    EXPECT_EQ(log->per_shard[0], std::set<std::thread::id>{caller});
+    for (int s = 1; s < num_shards; ++s) {
+      const auto& threads = log->per_shard[static_cast<size_t>(s)];
+      EXPECT_FALSE(threads.empty());
+      for (int t = 0; t < s; ++t) {
+        for (std::thread::id id : log->per_shard[static_cast<size_t>(t)]) {
+          EXPECT_EQ(threads.count(id), 0u) << "shards " << s << ", " << t;
+        }
+      }
+    }
+  }
 }
 
 // --- shard::Partitioner unit coverage ---
