@@ -14,13 +14,15 @@
 //                   reach the dispatched kernels — to attribute the win
 //                   between layout/early-exit and SIMD width.
 //   3. end-to-end:  HammingSearcher::Search wall time on a clustered
-//                   dataset (the full filter + rewired verify stack).
+//                   dataset (the full filter + rewired verify stack), with
+//                   queries drawn from the indexed objects.
 //
 // `--json FILE` dumps the panels machine-readably; BENCH_kernels.json at
 // the repo root is a committed baseline (protocol in docs/BENCHMARKS.md).
 // The verify panel self-checks that both paths return identical verdicts
 // before timing anything.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -169,11 +171,15 @@ std::vector<IsaSweepRow> RunIsaSweep(int dimensions, int repeats) {
   return rows;
 }
 
+// The queries are indexed objects, so each one must at least find itself
+// (`every_query_matches_itself`): a search that returns nothing is then a
+// bug, not a quiet dataset.
 struct SearchPanelRow {
   int num_objects = 0;
   int num_queries = 0;
   double millis_per_query = 0;
   int64_t results = 0;
+  bool every_query_matches_itself = false;
 };
 
 SearchPanelRow RunSearchPanel() {
@@ -181,14 +187,29 @@ SearchPanelRow RunSearchPanel() {
   row.num_objects = bench::Scaled(20000);
   row.num_queries = bench::Scaled(200);
   auto objects = MakeVectors(row.num_objects, 128, 7400);
-  const auto queries = MakeVectors(row.num_queries, 128, 7500);
+  std::vector<int> query_ids;
+  std::vector<BitVector> queries;
+  Rng rng(7500);
+  for (int i = 0; i < row.num_queries; ++i) {
+    query_ids.push_back(static_cast<int>(rng.NextBounded(objects.size())));
+    queries.push_back(objects[query_ids.back()]);
+  }
   hamming::HammingSearcher searcher(std::move(objects));
+  std::vector<std::vector<int>> results;
+  results.reserve(queries.size());
   StopWatch watch;
   for (const BitVector& q : queries) {
-    row.results +=
-        static_cast<int64_t>(searcher.Search(q, 12, 4).size());
+    results.push_back(searcher.Search(q, 12, 4));
   }
   row.millis_per_query = watch.ElapsedMillis() / row.num_queries;
+  row.every_query_matches_itself = true;
+  for (size_t i = 0; i < results.size(); ++i) {
+    row.results += static_cast<int64_t>(results[i].size());
+    if (std::find(results[i].begin(), results[i].end(), query_ids[i]) ==
+        results[i].end()) {
+      row.every_query_matches_itself = false;
+    }
+  }
   return row;
 }
 
@@ -228,10 +249,12 @@ void WriteJson(const std::string& path,
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"search_hamming_d128\": {\"objects\": %d, \"queries\": "
-               "%d, \"millis_per_query\": %.4f, \"results\": %lld}\n",
+               "%d, \"millis_per_query\": %.4f, \"results\": %lld, "
+               "\"every_query_matches_itself\": %s}\n",
                search.num_objects, search.num_queries,
                search.millis_per_query,
-               static_cast<long long>(search.results));
+               static_cast<long long>(search.results),
+               search.every_query_matches_itself ? "true" : "false");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
@@ -286,5 +309,10 @@ int main(int argc, char** argv) {
       static_cast<long long>(search.results));
 
   if (!json_path.empty()) WriteJson(json_path, verify, sweep, search);
+  // Written to the JSON above first, like every bench self-check verdict.
+  if (!search.every_query_matches_itself) {
+    std::fprintf(stderr, "FATAL: a query did not find its own record\n");
+    return 1;
+  }
   return 0;
 }

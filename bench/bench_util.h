@@ -11,13 +11,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "api/db.h"
 #include "common/table.h"
-#include "engine/engine.h"
 
 namespace pigeonring::bench {
 
@@ -55,90 +53,6 @@ struct JoinTiming {
   double millis = 0;
 };
 
-namespace internal {
-
-/// Shared join-scaling harness: `run` executes one self-join at a thread
-/// count. The sequential run comes first, every parallel run must
-/// reproduce its pairs exactly, and the table reports the speedups.
-inline std::vector<JoinTiming> JoinScalingTable(
-    const std::string& title,
-    const std::function<std::vector<engine::IdPair>(int, engine::JoinStats*)>&
-        run,
-    const std::vector<int>& thread_counts, int64_t* pairs_out) {
-  engine::JoinStats seq_stats;
-  const auto expected = run(1, &seq_stats);
-  std::vector<JoinTiming> timings = {{1, seq_stats.total_millis}};
-  Table table(title, {"threads", "pairs", "time (ms)", "speedup"});
-  table.AddRow({"1", Table::Int(seq_stats.pairs),
-                Table::Num(seq_stats.total_millis, 1), "1.00x"});
-  for (int threads : thread_counts) {
-    engine::JoinStats stats;
-    const auto pairs = run(threads, &stats);
-    if (pairs != expected) {
-      std::fprintf(stderr, "FATAL: %d-thread join diverged from sequential\n",
-                   threads);
-      std::exit(1);
-    }
-    timings.push_back({threads, stats.total_millis});
-    table.AddRow({Table::Int(threads), Table::Int(stats.pairs),
-                  Table::Num(stats.total_millis, 1),
-                  Table::Num(seq_stats.total_millis /
-                                 std::max(1e-9, stats.total_millis),
-                             2) +
-                      "x"});
-  }
-  table.Print();
-  std::printf("\n");
-  if (pairs_out != nullptr) *pairs_out = seq_stats.pairs;
-  return timings;
-}
-
-}  // namespace internal
-
-/// Self-joins `adapter` sequentially and at each count in `thread_counts`,
-/// aborts if any parallel run diverges from the sequential pairs, and
-/// prints a threads / pairs / time / speedup table titled `title`. Returns
-/// the timings (sequential run first) so callers can export them.
-template <engine::Searcher S>
-inline std::vector<JoinTiming> RunJoinScalingTable(
-    const std::string& title, S& adapter,
-    const std::vector<int>& thread_counts, int64_t* pairs_out = nullptr) {
-  engine::Executor executor;
-  return internal::JoinScalingTable(
-      title,
-      [&](int threads, engine::JoinStats* stats) {
-        engine::ExecutionOptions options;
-        options.num_threads = threads;
-        return engine::SelfJoin(
-            adapter, engine::ExecutionContext(executor, options), stats);
-      },
-      thread_counts, pairs_out);
-}
-
-/// The same scaling table through the public api::Db facade — what the
-/// engine-extension join panels run so they measure the path library
-/// users actually get.
-inline std::vector<JoinTiming> RunDbJoinScalingTable(
-    const std::string& title, api::Db& db,
-    const std::vector<int>& thread_counts, int64_t* pairs_out = nullptr) {
-  return internal::JoinScalingTable(
-      title,
-      [&](int threads, engine::JoinStats* stats) {
-        api::RunOptions options;
-        options.num_threads = threads;
-        api::Session session = db.NewSession();
-        auto join = session.SelfJoin(options);
-        if (!join.ok()) {
-          std::fprintf(stderr, "FATAL: SelfJoin failed: %s\n",
-                       join.status().ToString().c_str());
-          std::exit(1);
-        }
-        *stats = join->stats;
-        return std::move(join->pairs);
-      },
-      thread_counts, pairs_out);
-}
-
 /// Unwraps a StatusOr in bench context, aborting on error.
 template <typename T>
 inline T BenchUnwrap(StatusOr<T> value, const char* what) {
@@ -148,6 +62,45 @@ inline T BenchUnwrap(StatusOr<T> value, const char* what) {
     std::exit(1);
   }
   return std::move(value).value();
+}
+
+/// Self-joins `db` through the public api::Db facade sequentially and at
+/// each count in `thread_counts`, aborts if any parallel run diverges from
+/// the sequential pairs, and prints a threads / pairs / time / speedup
+/// table titled `title`. Returns the timings (sequential run first) so
+/// callers can export them.
+inline std::vector<JoinTiming> RunDbJoinScalingTable(
+    const std::string& title, const api::Db& db,
+    const std::vector<int>& thread_counts, int64_t* pairs_out = nullptr) {
+  const auto join_at = [&db](int threads) {
+    api::RunOptions options;
+    options.num_threads = threads;
+    api::Session session = db.NewSession();
+    return BenchUnwrap(session.SelfJoin(options), "SelfJoin");
+  };
+  const api::JoinResult sequential = join_at(1);
+  const double seq_millis = sequential.stats.total_millis;
+  std::vector<JoinTiming> timings = {{1, seq_millis}};
+  Table table(title, {"threads", "pairs", "time (ms)", "speedup"});
+  table.AddRow({"1", Table::Int(sequential.stats.pairs),
+                Table::Num(seq_millis, 1), "1.00x"});
+  for (int threads : thread_counts) {
+    const api::JoinResult join = join_at(threads);
+    if (join.pairs != sequential.pairs) {
+      std::fprintf(stderr, "FATAL: %d-thread join diverged from sequential\n",
+                   threads);
+      std::exit(1);
+    }
+    const double millis = join.stats.total_millis;
+    timings.push_back({threads, millis});
+    table.AddRow({Table::Int(threads), Table::Int(join.stats.pairs),
+                  Table::Num(millis, 1),
+                  Table::Num(seq_millis / std::max(1e-9, millis), 2) + "x"});
+  }
+  table.Print();
+  std::printf("\n");
+  if (pairs_out != nullptr) *pairs_out = sequential.stats.pairs;
+  return timings;
 }
 
 }  // namespace pigeonring::bench

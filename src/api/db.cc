@@ -36,31 +36,18 @@ Status QueryDomainError(Domain query_domain, Domain index_domain) {
       " query but the index domain is " + DomainName(index_domain));
 }
 
-bool RingEnabled(const IndexSpec& spec) {
-  switch (spec.filter) {
-    case FilterMode::kBaseline:
-      return false;
-    case FilterMode::kRing:
-      return true;
-    case FilterMode::kAuto:
-      break;
-  }
-  return spec.chain_length > 1;
-}
-
-/// The chain length the Hamming and set adapters run: 1 is the baseline.
-int AdapterChain(const IndexSpec& spec) {
-  return RingEnabled(spec) ? spec.chain_length : 1;
-}
-
+// The chain length chooses the filter: 1 runs the domain's pigeonhole
+// baseline, > 1 the pigeonring filter. The Hamming and set adapters take
+// the chain length directly (at 1 they are the baseline); the edit and
+// graph adapters also take the filter.
 editdist::EditFilter EditFilterOf(const IndexSpec& spec) {
-  return RingEnabled(spec) ? editdist::EditFilter::kRing
-                           : editdist::EditFilter::kPivotal;
+  return spec.chain_length > 1 ? editdist::EditFilter::kRing
+                               : editdist::EditFilter::kPivotal;
 }
 
 graphed::GraphFilter GraphFilterOf(const IndexSpec& spec) {
-  return RingEnabled(spec) ? graphed::GraphFilter::kRing
-                           : graphed::GraphFilter::kPars;
+  return spec.chain_length > 1 ? graphed::GraphFilter::kRing
+                               : graphed::GraphFilter::kPars;
 }
 
 // CRTP base: Derived supplies ToDomain(query) -> S::Query and
@@ -225,7 +212,7 @@ class HammingModel : public ModelBase<HammingModel, engine::HammingAdapter> {
 
   auto Split(const shard::Partitioner& partitioner,
              const IndexSpec& spec) const {
-    return shard::SplitHamming(adapter_, partitioner, tau_, AdapterChain(spec),
+    return shard::SplitHamming(adapter_, partitioner, tau_, spec.chain_length,
                                spec.allocation);
   }
 
@@ -351,7 +338,7 @@ class SetModel : public ModelBase<SetModel, engine::SetAdapter> {
   auto Split(const shard::Partitioner& partitioner,
              const IndexSpec& spec) const {
     return shard::SplitSet(adapter_, partitioner, tau_, measure_,
-                           AdapterChain(spec));
+                           spec.chain_length);
   }
 
  private:
@@ -566,7 +553,7 @@ StatusOr<std::unique_ptr<const AnySearcher>> BuildHamming(
   }
   engine::HammingAdapter adapter(
       hamming::HammingSearcher(std::move(objects), num_parts),
-      static_cast<int>(spec.tau), AdapterChain(spec), spec.allocation);
+      static_cast<int>(spec.tau), spec.chain_length, spec.allocation);
   return Finish(std::make_unique<HammingModel>(std::move(adapter), dimensions,
                                                static_cast<int>(spec.tau)),
                 spec);
@@ -578,7 +565,7 @@ StatusOr<std::unique_ptr<const AnySearcher>> BuildSet(
   setsim::PkwiseSearcher searcher(collection.get(), spec.tau, spec.num_boxes,
                                   spec.measure);
   engine::SetAdapter adapter(std::move(searcher), collection.get(),
-                             AdapterChain(spec));
+                             spec.chain_length);
   return Finish(std::make_unique<SetModel>(std::move(collection),
                                            std::move(adapter), spec.tau,
                                            spec.measure),
@@ -792,7 +779,7 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadHamming(
   engine::HammingAdapter adapter(
       hamming::HammingSearcher::FromBuilt(std::move(loaded->objects),
                                           std::move(loaded->index)),
-      static_cast<int>(spec.tau), AdapterChain(spec), spec.allocation);
+      static_cast<int>(spec.tau), spec.chain_length, spec.allocation);
   return Finish(std::make_unique<HammingModel>(std::move(adapter), dimensions,
                                                static_cast<int>(spec.tau)),
                 spec);
@@ -806,7 +793,7 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadSet(
       loaded->collection.get(), spec.tau, spec.num_boxes, spec.measure,
       std::move(loaded->index));
   engine::SetAdapter adapter(std::move(searcher), loaded->collection.get(),
-                             AdapterChain(spec));
+                             spec.chain_length);
   return Finish(std::make_unique<SetModel>(std::move(loaded->collection),
                                            std::move(adapter), spec.tau,
                                            spec.measure),

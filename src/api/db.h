@@ -38,8 +38,8 @@
 // templated engine::SearchBatch / engine::SelfJoin drivers, their loop
 // sharding, and the per-candidate kernels run unchanged and fully inlined.
 // Search costs one virtual call per query — fine for interactive use;
-// batch paths stay within noise of the templated drivers
-// (bench_engine_scaling's facade panel measures this).
+// batch paths stay within noise of the templated drivers (perfbench's
+// api.facade_overhead_pct rung measures this).
 //
 // Threading: spec.num_threads / spec.chunk are the defaults; RunOptions
 // overrides them per call. Every call borrows the snapshot's persistent
@@ -89,11 +89,11 @@ class Db {
 
   /// Opens a persisted index written by Save. The file must carry the same
   /// format version, domain, and build fingerprint as `spec` (chain length,
-  /// filter mode, allocation, and threading may differ — they are
-  /// query-time knobs). Built state is bulk-loaded; nothing is re-derived,
-  /// and the loaded snapshot answers queries byte-identically to one built
-  /// from the raw dataset. Typed errors: kInvalidArgument (not an index
-  /// file), kDataLoss (checksum mismatch / truncation / corrupt section),
+  /// allocation, and threading may differ — they are query-time knobs).
+  /// Built state is bulk-loaded; nothing is re-derived, and the loaded
+  /// snapshot answers queries byte-identically to one built from the raw
+  /// dataset. Typed errors: kInvalidArgument (not an index file),
+  /// kDataLoss (checksum mismatch / truncation / corrupt section),
   /// kFailedPrecondition (version or spec mismatch), kNotFound (unreadable
   /// path).
   static StatusOr<Db> OpenIndex(const IndexSpec& spec,

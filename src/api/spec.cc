@@ -98,13 +98,6 @@ Status IndexSpec::Validate() const {
         "chain_length=" + std::to_string(chain_length) +
         " is invalid: chain lengths start at 1 (the pigeonhole baseline)");
   }
-  if (filter == FilterMode::kBaseline && chain_length != 1) {
-    return Status::InvalidArgument(
-        "filter=baseline contradicts chain_length=" +
-        std::to_string(chain_length) +
-        ": the pigeonhole baseline tests single boxes; use chain_length=1 "
-        "or filter=ring");
-  }
 
   // Chain length against the number of boxes, where it is known without
   // the dataset. (Hamming's partition count may depend on the data's
@@ -177,16 +170,11 @@ Status IndexSpec::Validate() const {
         "delta_compact_threshold=" + std::to_string(delta_compact_threshold) +
         " is invalid: expected 0 (disabled) or a positive mutation count");
   }
-  if (!(delta_compact_ratio >= 0) || !std::isfinite(delta_compact_ratio)) {
-    return Status::InvalidArgument(
-        "delta_compact_ratio=" + std::to_string(delta_compact_ratio) +
-        " is invalid: expected 0 (disabled) or a positive finite fraction");
-  }
   return Status::Ok();
 }
 
-// Query-time and serving-time fields (chain_length, filter, allocation,
-// threading, the delta_compact_* writer knobs) are deliberately excluded:
+// Query-time and serving-time fields (chain_length, allocation, threading,
+// the delta_compact_threshold writer knob) are deliberately excluded:
 // they never shape the persisted structures.
 uint64_t BuildFingerprint(const IndexSpec& spec) {
   constexpr uint64_t kOffset = 1469598103934665603ULL;

@@ -3,7 +3,7 @@
 //
 // An IndexSpec names a domain (one of the paper's four case studies) and
 // every knob the engine needs — selection threshold, pigeonring chain
-// length, measure / filter / allocation mode, threading — so that opening
+// length, measure / allocation mode, threading — so that opening
 // an index is one declarative call instead of hand-wiring a domain
 // searcher, its collection, and an engine adapter. Validate() front-runs
 // every constructor precondition of the wrapped searchers with a typed
@@ -43,16 +43,6 @@ enum class Domain {
 const char* DomainName(Domain domain);
 StatusOr<Domain> ParseDomain(const std::string& name);
 
-/// Which filter the searcher runs. kAuto derives the mode from the chain
-/// length (chain_length > 1 enables the pigeonring filter, otherwise the
-/// domain's pigeonhole baseline: GPH, pkwise, Pivotal, or Pars).
-enum class FilterMode {
-  kAuto,
-  kBaseline,  // force the pigeonhole baseline; requires chain_length == 1
-  kRing,      // force the pigeonring filter (chain_length 1 is legal and
-              // degenerates to single-box chains)
-};
-
 /// Whether the edit domain uses the fixed-length case-decomposition fast
 /// path (editdist/casedec.h) instead of the pivotal q-gram pipeline. kAuto
 /// lets Db::Open ask core/advisor once the dataset's shape is known; kOn
@@ -84,12 +74,11 @@ struct IndexSpec {
   /// requires an integral tau >= 1.
   double tau = -1;
 
-  /// Pigeonring chain length l; 1 is the pigeonhole baseline. Must not
-  /// exceed the number of boxes (m partitions for Hamming, num_boxes for
-  /// sets, tau + 1 for edit / graph distance).
+  /// Pigeonring chain length l; it also chooses the filter. 1 runs the
+  /// domain's pigeonhole baseline (GPH, pkwise, Pivotal, or Pars), > 1 the
+  /// pigeonring filter. Must not exceed the number of boxes (m partitions
+  /// for Hamming, num_boxes for sets, tau + 1 for edit / graph distance).
   int chain_length = 1;
-
-  FilterMode filter = FilterMode::kAuto;
 
   /// Default threading for SearchBatch / SelfJoin (overridable per call):
   /// 0 = hardware concurrency, 1 = sequential.
@@ -134,18 +123,14 @@ struct IndexSpec {
   // --- Mutability (api::Writer, api/writer.h) ---
   /// Background compaction triggers when the writer's pending mutation
   /// count (inserts + removals since the last compaction) reaches this
-  /// many entries. 0 disables the size trigger (explicit Writer::Compact()
-  /// and the ratio trigger still apply). Serving-time knob: excluded from
+  /// many entries. 0 disables background compaction (explicit
+  /// Writer::Compact() still applies). Serving-time knob: excluded from
   /// BuildFingerprint and never persisted, so it can differ between the
   /// saving and the opening process.
   int delta_compact_threshold = 256;
-  /// Background compaction also triggers when the pending mutation count
-  /// reaches this fraction of the base snapshot's record count (only
-  /// meaningful while the base is nonempty). 0 disables the ratio trigger.
-  double delta_compact_ratio = 0;
 
   /// Checks every dataset-independent invariant (thresholds, chain length
-  /// vs box counts, measure / filter / domain consistency, thread counts).
+  /// vs box counts, measure / domain consistency, thread counts).
   /// Dataset-dependent checks (e.g. chain length vs the Hamming partition
   /// count derived from the dimensionality) happen in Db::Open.
   Status Validate() const;
@@ -154,10 +139,10 @@ struct IndexSpec {
 /// FNV-1a hash over the *build-relevant* spec fields — the ones that shape
 /// the persisted index structures: domain, tau, and the domain's structural
 /// knobs (num_parts / measure + num_boxes / kappa / partition_seed).
-/// Query-time and serving-time fields (chain_length, filter, allocation,
-/// threading, the delta_compact_* writer knobs) are deliberately excluded
-/// so an index saved under one serving configuration opens under any
-/// other. Stored in the index file header; Db::OpenIndex rejects a
+/// Query-time and serving-time fields (chain_length, allocation,
+/// threading, the delta_compact_threshold writer knob) are deliberately
+/// excluded so an index saved under one serving configuration opens under
+/// any other. Stored in the index file header; Db::OpenIndex rejects a
 /// mismatch with kFailedPrecondition.
 uint64_t BuildFingerprint(const IndexSpec& spec);
 

@@ -152,19 +152,14 @@ void LaunchCompactionLocked(internal::DbHub& hub) {
       });
 }
 
-/// Fires the spec's compaction triggers against the pending mutation
+/// Fires the spec's compaction trigger against the pending mutation
 /// count. `hub.mu` held.
 void MaybeCompactLocked(internal::DbHub& hub, const IndexSpec& spec) {
   if (hub.compaction_inflight || hub.pending.has_value()) return;
-  const int64_t pending = hub.delta->NumMutations();
-  if (pending <= 0) return;
-  const int base = hub.current->searcher->size();
-  const bool over_threshold = spec.delta_compact_threshold > 0 &&
-                              pending >= spec.delta_compact_threshold;
-  const bool over_ratio = spec.delta_compact_ratio > 0 && base > 0 &&
-                          static_cast<double>(pending) >=
-                              spec.delta_compact_ratio * base;
-  if (over_threshold || over_ratio) LaunchCompactionLocked(hub);
+  if (spec.delta_compact_threshold > 0 &&
+      hub.delta->NumMutations() >= spec.delta_compact_threshold) {
+    LaunchCompactionLocked(hub);
+  }
 }
 
 }  // namespace

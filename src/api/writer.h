@@ -9,12 +9,12 @@
 //    every Session created afterwards transparently merges into Search /
 //    SearchBatch / SelfJoin results. Sessions created earlier keep their
 //    frozen view — readers never block and never see a torn update.
-//  * When the delta crosses the spec's delta_compact_threshold /
-//    delta_compact_ratio triggers, a background job on the current
-//    epoch's executor rebuilds the full searcher over base + delta; the
-//    finished rebuild is published as a new epoch (fresh DbState, fresh
-//    executor) at the next user-thread touch of the database. Explicit
-//    Compact() does the same synchronously.
+//  * When the delta reaches the spec's delta_compact_threshold, a
+//    background job on the current epoch's executor rebuilds the full
+//    searcher over base + delta; the finished rebuild is published as a
+//    new epoch (fresh DbState, fresh executor) at the next user-thread
+//    touch of the database. Explicit Compact() does the same
+//    synchronously.
 //
 //   auto writer = db.NewWriter();             // StatusOr<Writer>
 //   auto id = writer->Insert(record);         // StatusOr<int>

@@ -18,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 namespace pigeonring {
 
@@ -56,13 +55,6 @@ class Histogram {
   double min_ = 0;
   double max_ = 0;
 };
-
-/// Merges `parts` into one aggregate — the scatter-gather reduction for
-/// per-shard (or per-connection, per-thread) recordings. Equivalent to
-/// recording every value into a single histogram: counters, extrema, and
-/// percentiles all match exactly, regardless of how the recordings were
-/// distributed over the parts (Merge is commutative and associative).
-Histogram MergedHistogram(const std::vector<Histogram>& parts);
 
 }  // namespace pigeonring
 

@@ -10,8 +10,8 @@
 //
 // Result ids round-trip exactly, so a client's Search / SearchBatch /
 // SelfJoin ids are byte-comparable with an in-process api::Session over
-// the same snapshot (pinned by the net_smoke test and the bench panel's
-// net_matches_inprocess self-check).
+// the same snapshot (pinned by the net_smoke test and by perfbench's
+// answer-checked serve workload).
 //
 // Not thread-safe: one Client per caller thread, like api::Session.
 

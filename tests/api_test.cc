@@ -165,8 +165,8 @@ TEST(DbGoldenDiffTest, Strings) {
 }
 
 TEST(DbGoldenDiffTest, StringsBaselineFilter) {
-  // chain_length 1 + kAuto must select the Pivotal baseline, exactly like
-  // the pre-redesign search path did.
+  // chain_length 1 must select the Pivotal baseline, exactly like the
+  // pre-redesign search path did.
   const auto data = MakeStrings(250, 81);
   engine::EditAdapter adapter(editdist::EditDistanceSearcher(&data, 2, 2),
                               &data, editdist::EditFilter::kPivotal, 1);
@@ -188,6 +188,19 @@ TEST(DbGoldenDiffTest, Graphs) {
   spec.chain_length = 2;
   ExpectFacadeMatchesAdapter(adapter, spec, Dataset(data),
                              {0, 30, 119});
+}
+
+TEST(DbGoldenDiffTest, GraphsBaselineFilter) {
+  // chain_length 1 must select the Pars baseline.
+  const auto data = MakeGraphs(120, 85);
+  engine::GraphAdapter adapter(graphed::GraphSearcher(&data, 2), &data,
+                               graphed::GraphFilter::kPars, 1);
+  IndexSpec spec;
+  spec.domain = Domain::kGraph;
+  spec.tau = 2;
+  spec.chain_length = 1;
+  ExpectFacadeMatchesAdapter(adapter, spec, Dataset(data),
+                             {1, 60, 119});
 }
 
 TEST(DbTest, ParallelRunsMatchSequentialThroughFacade) {
@@ -574,18 +587,6 @@ TEST(SpecValidationTest, MeasureDomainAndFilterConsistency) {
   spec.tau = 4;
   spec.measure = setsim::SetMeasure::kOverlap;
   EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
-
-  spec = IndexSpec();
-  spec.domain = Domain::kEdit;
-  spec.tau = 2;
-  spec.filter = FilterMode::kBaseline;
-  spec.chain_length = 3;  // the baseline tests single boxes
-  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
-  spec.chain_length = 1;
-  EXPECT_TRUE(spec.Validate().ok());
-
-  spec.filter = FilterMode::kRing;  // Ring at l = 1 is legal
-  EXPECT_TRUE(spec.Validate().ok());
 }
 
 TEST(SpecValidationTest, ExecutionFields) {

@@ -137,38 +137,5 @@ TEST(HistogramTest, QuantileArgumentIsClamped) {
   EXPECT_EQ(h.Percentile(1.5), h.Percentile(1.0));
 }
 
-// The scatter-gather reduction pin: recording a stream scattered over S
-// per-shard histograms and reducing with MergedHistogram must match the
-// histogram of the whole stream exactly — every counter, extremum, and
-// percentile — no matter how the stream was split.
-TEST(HistogramTest, MergedHistogramMatchesCombinedRecording) {
-  Rng rng(19);
-  const int kValues = 500;
-  for (int num_parts : {1, 3, 8}) {
-    Histogram combined;
-    std::vector<Histogram> parts(num_parts);
-    for (int i = 0; i < kValues; ++i) {
-      const double value = std::ldexp(
-          rng.NextDouble(), static_cast<int>(rng.NextBounded(20)));
-      combined.Record(value);
-      parts[rng.NextBounded(num_parts)].Record(value);
-    }
-    const Histogram merged = MergedHistogram(parts);
-    EXPECT_EQ(merged.count(), combined.count());
-    // Summation order differs between the split and combined streams, so
-    // the sums agree only to rounding.
-    EXPECT_NEAR(merged.sum(), combined.sum(), 1e-9 * combined.sum());
-    EXPECT_EQ(merged.min(), combined.min());
-    EXPECT_EQ(merged.max(), combined.max());
-    EXPECT_EQ(merged.buckets(), combined.buckets());
-    for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-      EXPECT_EQ(merged.Percentile(q), combined.Percentile(q)) << "q=" << q;
-    }
-  }
-  // Degenerate reductions: no parts, and all-empty parts.
-  EXPECT_EQ(MergedHistogram({}).count(), 0);
-  EXPECT_EQ(MergedHistogram(std::vector<Histogram>(4)).count(), 0);
-}
-
 }  // namespace
 }  // namespace pigeonring

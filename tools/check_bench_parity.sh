@@ -2,22 +2,23 @@
 # Fails if any bench JSON dump carries a failed self-check.
 #
 # The bench binaries verify their own results (fast path vs pivotal
-# parity, loaded-vs-built joins, facade-vs-templated ids, the churn
-# panel's quiesce_matches_rebuild) and write the verdicts into the JSON
-# they emit — by design the verdict is written
-# even when the binary then exits nonzero, so a stale or inspected
+# parity, loaded-vs-built joins, search queries finding themselves) and
+# write the verdicts into the JSON they emit — by design the verdict is
+# written even when the binary then exits nonzero, so a stale or inspected
 # artifact still tells the truth. This script is the CI-side net: it
 # scans every given file (or bench_*.json in the current directory) for
 # a self-check field that is false and exits 1 listing the offenders.
 # `oversubscribed` is informational (threads > cores), not a self-check,
 # and is ignored.
 #
-# Engine-scaling dumps additionally have a *presence* requirement: the
-# net panel's `net_matches_inprocess` and the shard panel's
-# `shard_matches_unsharded` verdicts must exist. A refactor that
-# silently drops a panel would otherwise pass the false-scan (nothing
-# false in a field that is not there) while its identity check quietly
-# stops running.
+# Engine-scaling dumps (named *engine_scaling* or carrying
+# `"bench": "engine_scaling"`) additionally have a *presence*
+# requirement: the fast-path panel's `parity` verdict must exist. A
+# refactor that silently drops that panel would otherwise pass the
+# false-scan (nothing false in a field that is not there) while its
+# identity check quietly stops running. The serve, churn and shard
+# identity checks live in perfbench, whose runs end with
+# `"correct": true`.
 #
 # Usage: check_bench_parity.sh [file.json ...]
 
@@ -46,20 +47,14 @@ for f in $files; do
     status=1
     continue
   fi
-  case "$f" in
-    *engine_scaling*)
-      if ! grep -q '"net_matches_inprocess":' "$f"; then
-        echo "check_bench_parity: $f is missing the net panel verdict (net_matches_inprocess)" >&2
-        status=1
-        continue
-      fi
-      if ! grep -q '"shard_matches_unsharded":' "$f"; then
-        echo "check_bench_parity: $f is missing the shard panel verdict (shard_matches_unsharded)" >&2
-        status=1
-        continue
-      fi
-      ;;
-  esac
+  engine=no
+  case "$f" in *engine_scaling*) engine=yes ;; esac
+  grep -q '"bench": *"engine_scaling"' "$f" && engine=yes
+  if [ "$engine" = yes ] && ! grep -q '"parity":' "$f"; then
+    echo "check_bench_parity: $f is missing the fast-path panel verdict (parity)" >&2
+    status=1
+    continue
+  fi
   echo "check_bench_parity: $f ok"
 done
 exit $status
