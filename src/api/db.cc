@@ -58,9 +58,11 @@ graphed::GraphFilter GraphFilterOf(const IndexSpec& spec) {
 // bytes and raw dataset identical to an unsharded one's — plus the
 // shard::Fleet every read is served through (BuildFleet). At shards = 1
 // the fleet's one shard is a copy of the prototype (cheap: the searchers
-// share their index state behind shared_ptr), so one cursor serves every
-// database: per-shard scratch copies driven by shard/scatter.h, whose
-// coordinator runs shard 0 on the caller's executor.
+// share their index state behind shared_ptr), so one path serves every
+// database: the shard/scatter.h drivers over the const fleet, whose
+// coordinator runs shard 0 on the caller's executor. The answer is
+// byte-identical to engine::SearchBatch / SelfJoin over the prototype at
+// any shard / thread count.
 //
 // The delta hooks live on the models too: DeltaMatch is the domain's
 // exact threshold predicate — deliberately the same test the searchers'
@@ -73,8 +75,26 @@ class ModelBase : public AnySearcher {
 
   int size() const override { return adapter_.size(); }
 
-  std::unique_ptr<AnyCursor> NewCursor() const override {
-    return std::make_unique<Cursor>(derived());
+  std::vector<int> SearchOne(const Query& query,
+                             engine::QueryStats* stats) const override {
+    return shard::ScatterSearchOne(*fleet_, derived().ToDomain(query), stats);
+  }
+
+  std::vector<std::vector<int>> SearchBatch(
+      const std::vector<Query>& queries, const engine::ExecutionContext& ctx,
+      engine::QueryStats* stats) const override {
+    std::vector<typename S::Query> domain_queries;
+    domain_queries.reserve(queries.size());
+    for (const Query& query : queries) {
+      domain_queries.push_back(derived().ToDomain(query));
+    }
+    return shard::ScatterSearchBatch(*fleet_, domain_queries, ctx, stats);
+  }
+
+  std::vector<engine::IdPair> SelfJoin(
+      const engine::ExecutionContext& ctx,
+      engine::JoinStats* stats) const override {
+    return shard::ScatterSelfJoin(*fleet_, adapter_, ctx, stats);
   }
 
   std::vector<int> ShardSizes() const override {
@@ -96,8 +116,7 @@ class ModelBase : public AnySearcher {
   /// (shard/split.h), never built independently. One shard, or a split
   /// that kept none (an empty collection), serves a prototype copy.
   void BuildFleet(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
+    const shard::Partitioner partitioner(spec.shards);
     std::vector<shard::ShardPart<S>> parts;
     if (spec.shards > 1) parts = derived().Split(partitioner, spec);
     if (parts.empty()) {
@@ -109,46 +128,6 @@ class ModelBase : public AnySearcher {
   }
 
  protected:
-  // Per-shard scratch adapters, merged through shard/scatter.h's drivers
-  // so the answer is byte-identical to engine::SearchBatch / SelfJoin over
-  // the prototype at any shard / thread count.
-  class Cursor : public AnyCursor {
-   public:
-    // The owning snapshot outlives every cursor (sessions and in-flight
-    // submissions pin it), so a plain reference is safe.
-    explicit Cursor(const Derived& model)
-        : model_(model), scratch_(shard::CloneShardAdapters(*model.fleet_)) {}
-
-    std::vector<int> SearchOne(const Query& query,
-                               engine::QueryStats* stats) override {
-      return shard::ScatterSearchOne(*model_.fleet_, scratch_,
-                                     model_.ToDomain(query), stats);
-    }
-
-    std::vector<std::vector<int>> SearchBatch(
-        const std::vector<Query>& queries,
-        const engine::ExecutionContext& ctx,
-        engine::QueryStats* stats) override {
-      std::vector<typename S::Query> domain_queries;
-      domain_queries.reserve(queries.size());
-      for (const Query& query : queries) {
-        domain_queries.push_back(model_.ToDomain(query));
-      }
-      return shard::ScatterSearchBatch(*model_.fleet_, scratch_,
-                                       domain_queries, ctx, stats);
-    }
-
-    std::vector<engine::IdPair> SelfJoin(const engine::ExecutionContext& ctx,
-                                         engine::JoinStats* stats) override {
-      return shard::ScatterSelfJoin(*model_.fleet_, model_.adapter_, scratch_,
-                                    ctx, stats);
-    }
-
-   private:
-    const Derived& model_;
-    std::vector<S> scratch_;  // one mutable clone per shard
-  };
-
   const Derived& derived() const {
     return static_cast<const Derived&>(*this);
   }
@@ -1074,9 +1053,7 @@ Status Db::Save(const std::string& path) const {
     // OpenIndex can re-adopt it; an unsharded save stays byte-identical
     // to pre-shard-era files.
     storage::ByteWriter w;
-    shard::Partitioner(shard::PlacementMode::kRoundRobin,
-                       view.state->spec.shards)
-        .Encode(w);
+    shard::Partitioner(view.state->spec.shards).Encode(w);
     writer.AddSection(storage::SectionId::kShardMap, std::move(w).Take());
   }
   to_save->SaveSections(writer);
@@ -1112,8 +1089,7 @@ std::vector<DbShardStat> Db::ShardStats() const {
   std::vector<DbShardStat> stats;
   stats.reserve(sizes.size());
   for (int records : sizes) stats.push_back({records, 0});
-  const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                       static_cast<int>(stats.size()));
+  const shard::Partitioner partitioner(static_cast<int>(stats.size()));
   const int base = view.state->searcher->size();
   // Pending insert k occupies public id base + k within this epoch; route
   // it by the placement the next compaction's renumbering will apply.

@@ -142,9 +142,8 @@ class Db {
   std::vector<DbShardStat> ShardStats() const;
 
   /// Mints a per-caller query handle over the current epoch + pending
-  /// mutations. Cheap (the scratch clone shares all immutable index
-  /// state); call it once per caller thread. The Session keeps its epoch
-  /// alive independently of this Db.
+  /// mutations. O(1): a Session pins the snapshot and copies nothing. The
+  /// Session keeps its epoch alive independently of this Db.
   Session NewSession() const;
 
   /// Mints the database's single mutation handle (single-writer,

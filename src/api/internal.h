@@ -28,37 +28,27 @@ class IndexFileWriter;
 
 namespace pigeonring::api::internal {
 
-/// Mutable per-caller probe state over one immutable snapshot: one scratch
-/// clone per shard of the snapshot's shard::Fleet (a single clone of the
-/// prototype adapter at shards = 1). Each Session owns one (and each
-/// in-flight async submission owns another); a cursor is never shared
-/// between threads. Virtual dispatch happens once per call; the templated
-/// shard/scatter.h drivers run underneath, and run shard 0 on the
-/// ExecutionContext passed in.
-class AnyCursor {
- public:
-  virtual ~AnyCursor() = default;
-  virtual std::vector<int> SearchOne(const Query& query,
-                                     engine::QueryStats* stats) = 0;
-  virtual std::vector<std::vector<int>> SearchBatch(
-      const std::vector<Query>& queries, const engine::ExecutionContext& ctx,
-      engine::QueryStats* stats) = 0;
-  virtual std::vector<engine::IdPair> SelfJoin(
-      const engine::ExecutionContext& ctx, engine::JoinStats* stats) = 0;
-};
-
 /// The immutable, type-erased index snapshot behind one opened Db: every
-/// method is const and safe to call from any number of threads; NewCursor
-/// mints the per-caller mutable state.
+/// method is const and safe to call from any number of threads (the domain
+/// searchers keep their per-query scratch per thread). Virtual dispatch
+/// happens once per call; the templated shard/scatter.h drivers run
+/// underneath over the snapshot's shard::Fleet, and run shard 0 on the
+/// ExecutionContext passed in.
 class AnySearcher {
  public:
   virtual ~AnySearcher() = default;
   virtual int size() const = 0;
   virtual StatusOr<Query> RecordQuery(int id) const = 0;
-  /// Domain + shape check; queries passed to a cursor must have been
-  /// validated.
+  /// Domain + shape check; queries passed to the three search methods
+  /// below must have been validated.
   virtual Status ValidateQuery(const Query& query) const = 0;
-  virtual std::unique_ptr<AnyCursor> NewCursor() const = 0;
+  virtual std::vector<int> SearchOne(const Query& query,
+                                     engine::QueryStats* stats) const = 0;
+  virtual std::vector<std::vector<int>> SearchBatch(
+      const std::vector<Query>& queries, const engine::ExecutionContext& ctx,
+      engine::QueryStats* stats) const = 0;
+  virtual std::vector<engine::IdPair> SelfJoin(
+      const engine::ExecutionContext& ctx, engine::JoinStats* stats) const = 0;
   /// Record counts per shard, in ascending shard order: spec.shards
   /// entries (possibly 0), so {size()} at shards = 1. Monitoring surface
   /// (Db::ShardStats -> the net stats op).

@@ -95,7 +95,7 @@ void MergeDeltaSearch(const AnySearcher& searcher, const DeltaSnapshot& delta,
 /// re-sorted at the end so the merged join is byte-identical to a cold
 /// join over the compacted dataset's ids.
 void MergeDeltaJoin(const AnySearcher& searcher, const DeltaSnapshot& delta,
-                    AnyCursor& cursor, std::vector<engine::IdPair>& pairs,
+                    std::vector<engine::IdPair>& pairs,
                     engine::JoinStats& stats) {
   if (delta.Empty()) return;
   const engine::DeltaOverlay overlay = OverlayOf(searcher, delta);
@@ -104,7 +104,7 @@ void MergeDeltaJoin(const AnySearcher& searcher, const DeltaSnapshot& delta,
   for (int k = 0; k < overlay.num_inserts; ++k) {
     if (!engine::DeltaInsertLive(overlay, k)) continue;
     engine::QueryStats probe_stats;
-    std::vector<int> ids = cursor.SearchOne(delta.inserts[k], &probe_stats);
+    std::vector<int> ids = searcher.SearchOne(delta.inserts[k], &probe_stats);
     engine::FilterRemovedBaseIds(ids, overlay);
     for (int id : ids) {
       pairs.push_back({id, base + k});
@@ -132,16 +132,15 @@ Future<T> ReadyFuture(Status status) {
 }
 
 /// The one implementation of the async-submission pattern behind both
-/// Submit* entry points. `work(searcher, cursor, context)` produces the
-/// result (its wall_millis is stamped here). The capture discipline is
-/// safety-critical and lives only here: the job pins the *searcher*
-/// (which the cursor points into) but deliberately NOT the DbState —
-/// holding the snapshot's last reference on a dispatcher thread would
-/// make the executor join itself (see internal.h). The raw executor
-/// pointer stays valid for the job's whole run because snapshot teardown
-/// drains and joins the executor first. (The work lambdas additionally
-/// pin the session's delta — it owns no executor, so a dispatcher thread
-/// may drop it freely.)
+/// Submit* entry points. `work(searcher, context)` produces the result
+/// (its wall_millis is stamped here). The capture discipline is
+/// safety-critical and lives only here: the job pins the *searcher* but
+/// deliberately NOT the DbState — holding the snapshot's last reference
+/// on a dispatcher thread would make the executor join itself (see
+/// internal.h). The raw executor pointer stays valid for the job's whole
+/// run because snapshot teardown drains and joins the executor first.
+/// (The work lambdas additionally pin the session's delta — it owns no
+/// executor, so a dispatcher thread may drop it freely.)
 template <typename T, typename Work>
 Future<T> SubmitJob(const DbState& state,
                     const engine::ExecutionOptions& options, Work work) {
@@ -157,9 +156,8 @@ Future<T> SubmitJob(const DbState& state,
         StatusOr<T> outcome = [&]() -> StatusOr<T> {
           try {
             StopWatch watch;
-            const std::unique_ptr<AnyCursor> cursor = searcher->NewCursor();
             engine::ExecutionContext context(*executor, options);
-            T result = work(*searcher, *cursor, context);
+            T result = work(*searcher, context);
             result.wall_millis = watch.ElapsedMillis();
             return result;
           } catch (const std::exception& e) {
@@ -180,9 +178,7 @@ Future<T> SubmitJob(const DbState& state,
 
 Session::Session(std::shared_ptr<const internal::DbState> state,
                  std::shared_ptr<const internal::DeltaSnapshot> delta)
-    : state_(std::move(state)),
-      delta_(std::move(delta)),
-      cursor_(state_->searcher->NewCursor()) {}
+    : state_(std::move(state)), delta_(std::move(delta)) {}
 
 Session::Session(Session&&) noexcept = default;
 Session& Session::operator=(Session&&) noexcept = default;
@@ -206,7 +202,7 @@ StatusOr<SearchResult> Session::Search(const Query& query) {
   Status valid = state_->searcher->ValidateQuery(query);
   if (!valid.ok()) return valid;
   SearchResult result;
-  result.ids = cursor_->SearchOne(query, &result.stats);
+  result.ids = state_->searcher->SearchOne(query, &result.stats);
   internal::MergeDeltaSearch(*state_->searcher, *delta_, query, result.ids,
                              result.stats);
   return result;
@@ -221,7 +217,7 @@ StatusOr<BatchResult> Session::SearchBatch(const std::vector<Query>& queries,
   StopWatch watch;
   engine::ExecutionContext context(*state_->executor, planned.value());
   BatchResult result;
-  result.ids = cursor_->SearchBatch(queries, context, &result.stats);
+  result.ids = state_->searcher->SearchBatch(queries, context, &result.stats);
   for (size_t i = 0; i < queries.size(); ++i) {
     internal::MergeDeltaSearch(*state_->searcher, *delta_, queries[i],
                                result.ids[i], result.stats);
@@ -236,8 +232,8 @@ StatusOr<JoinResult> Session::SelfJoin(const RunOptions& options) {
   StopWatch watch;
   engine::ExecutionContext context(*state_->executor, planned.value());
   JoinResult result;
-  result.pairs = cursor_->SelfJoin(context, &result.stats);
-  internal::MergeDeltaJoin(*state_->searcher, *delta_, *cursor_, result.pairs,
+  result.pairs = state_->searcher->SelfJoin(context, &result.stats);
+  internal::MergeDeltaJoin(*state_->searcher, *delta_, result.pairs,
                            result.stats);
   result.wall_millis = watch.ElapsedMillis();
   return result;
@@ -251,17 +247,15 @@ Future<BatchResult> Session::SubmitBatch(std::vector<Query> queries,
   }
   Status valid = internal::ValidateBatch(*state_->searcher, queries);
   if (!valid.ok()) return internal::ReadyFuture<BatchResult>(valid);
-  // The submission gets its own cursor (minted inside the job), so it
-  // shares no scratch with this session's synchronous calls or with other
-  // in-flight submissions; it also pins this session's delta, so the
-  // future resolves against the same frozen view.
+  // The submission pins this session's delta, so the future resolves
+  // against the same frozen view.
   return internal::SubmitJob<BatchResult>(
       *state_, planned.value(),
       [queries = std::move(queries), delta = delta_](
-          const internal::AnySearcher& searcher, internal::AnyCursor& cursor,
+          const internal::AnySearcher& searcher,
           const engine::ExecutionContext& ctx) {
         BatchResult result;
-        result.ids = cursor.SearchBatch(queries, ctx, &result.stats);
+        result.ids = searcher.SearchBatch(queries, ctx, &result.stats);
         for (size_t i = 0; i < queries.size(); ++i) {
           internal::MergeDeltaSearch(searcher, *delta, queries[i],
                                      result.ids[i], result.stats);
@@ -278,12 +272,10 @@ Future<JoinResult> Session::SubmitSelfJoin(const RunOptions& options) {
   return internal::SubmitJob<JoinResult>(
       *state_, planned.value(),
       [delta = delta_](const internal::AnySearcher& searcher,
-                       internal::AnyCursor& cursor,
                        const engine::ExecutionContext& ctx) {
         JoinResult result;
-        result.pairs = cursor.SelfJoin(ctx, &result.stats);
-        internal::MergeDeltaJoin(searcher, *delta, cursor, result.pairs,
-                                 result.stats);
+        result.pairs = searcher.SelfJoin(ctx, &result.stats);
+        internal::MergeDeltaJoin(searcher, *delta, result.pairs, result.stats);
         return result;
       });
 }

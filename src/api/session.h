@@ -3,11 +3,11 @@
 //
 // A Db (api/db.h) is an immutable, concurrently shareable snapshot: the
 // domain index, the collection, and the persistent executor. A Session is
-// the mutable counterpart one caller holds: it owns the per-query scratch
-// (an erased clone of the engine adapter — cheap, because every searcher
-// shares its immutable index behind shared_ptr) and pins the snapshot, so
-// a Session keeps working even after the Db handle that created it is
-// destroyed.
+// the handle one caller queries it through: it pins the snapshot (so a
+// Session keeps working even after the Db handle that created it is
+// destroyed) and the writer delta frozen with it. It owns no per-query
+// scratch — the domain searchers keep theirs per thread — so minting one
+// is O(1).
 //
 //   api::Db db = ...;                       // shared, const
 //   api::Session session = db.NewSession(); // one per caller thread
@@ -24,10 +24,8 @@
 //  * Any number of Sessions over one Db may run concurrently; results are
 //    byte-identical to the sequential path no matter how many callers
 //    overlap (the engine's determinism guarantee).
-//  * One Session's *synchronous* calls must not overlap each other (they
-//    share the session's scratch) — one Session per caller thread.
-//  * Submit* calls are safe to overlap with anything: each submission
-//    captures its own scratch clone and runs on the executor's dispatcher
+//  * One Session's calls may overlap each other too: a Session only reads
+//    the snapshot it pins. Submit* calls run on the executor's dispatcher
 //    threads, so futures may complete out of submission order.
 //
 // Parallelism *within* a call still comes from the spec / RunOptions
@@ -88,7 +86,6 @@ struct RunOptions {
 
 namespace internal {
 
-class AnyCursor;
 struct DbState;
 struct DeltaSnapshot;
 
@@ -139,13 +136,10 @@ class Session {
 
   /// Asynchronous SearchBatch: validates up front (an invalid request
   /// yields an already-resolved future), then enqueues the batch on the
-  /// snapshot's executor and returns immediately. The submission owns a
-  /// scratch clone of its own, so it may overlap this session's other
-  /// calls and submissions freely. That clone is minted per submission
-  /// and costs O(records) of scratch, the same as NewSession() (perfbench
-  /// `api.new_session_us`: 70-120 us at 100k 256-bit Hamming records on a
-  /// 4-core AVX-512 box). A caller that already owns a Session on its
-  /// thread, like net::Server's connections, calls SearchBatch instead.
+  /// snapshot's executor and returns immediately. A submission copies
+  /// nothing but the queries, so it may overlap this session's other calls
+  /// and submissions freely; its cost over SearchBatch is the hop to a
+  /// dispatcher thread (perfbench `engine.submit_hop_us`).
   Future<BatchResult> SubmitBatch(std::vector<Query> queries,
                                   const RunOptions& options = {});
 
@@ -162,7 +156,6 @@ class Session {
   // empty): search/join results merge it in transparently, which is what
   // makes a session's view a consistent prefix of the mutation log.
   std::shared_ptr<const internal::DeltaSnapshot> delta_;
-  std::unique_ptr<internal::AnyCursor> cursor_;
 };
 
 }  // namespace pigeonring::api

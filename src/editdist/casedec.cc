@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/epoch_stamps.h"
 #include "common/timer.h"
 #include "editdist/verify.h"
 
@@ -117,6 +118,11 @@ std::vector<std::pair<uint64_t, int32_t>> CaseDecSearcher::BuildExactIndex(
 
 namespace {
 
+// Search's record-dedup scratch, one per thread (common/epoch_stamps.h).
+struct Scratch {
+  EpochStamps seen;
+};
+
 // Derives the per-case exact-match tables (see Case::exact) after the
 // Hamming searchers exist; shared by both construction paths.
 void AttachExactIndexes(const std::vector<std::string>& data, int length,
@@ -151,7 +157,6 @@ CaseDecSearcher::CaseDecSearcher(const std::vector<std::string>* data,
          nullptr});
   }
   AttachExactIndexes(*data, length_, cases_);
-  seen_epoch_.assign(data->size(), 0);
 }
 
 CaseDecSearcher CaseDecSearcher::FromBuilt(
@@ -171,13 +176,12 @@ CaseDecSearcher CaseDecSearcher::FromBuilt(
              static_cast<int64_t>(data->size()) * variants);
   }
   AttachExactIndexes(*data, s.length_, s.cases_);
-  s.seen_epoch_.assign(data->size(), 0);
   return s;
 }
 
 std::vector<int> CaseDecSearcher::Search(const std::string& query,
                                          int chain_length,
-                                         engine::QueryStats* stats) {
+                                         engine::QueryStats* stats) const {
   StopWatch total_watch;
   engine::QueryStats local;
   std::vector<int> results;
@@ -211,14 +215,13 @@ std::vector<int> CaseDecSearcher::Search(const std::string& query,
     candidates.resize(n);
     for (int id = 0; id < n; ++id) candidates[id] = id;
   } else {
-    ++epoch_;
-    for (Case& c : cases_) {
+    EpochStamps& seen = PerThread<Scratch>().seen;
+    seen.NextEpoch(static_cast<size_t>(n));
+    for (const Case& c : cases_) {
       const int64_t variants = VariantsPerRecord(length_, c.indels);
       const auto admit_row = [&](int64_t row) {
         const int id = static_cast<int>(row / variants);
-        if (seen_epoch_[id] == epoch_) return;
-        seen_epoch_[id] = epoch_;
-        candidates.push_back(id);
+        if (seen.Touch(id)) candidates.push_back(id);
       };
       if (c.exact != nullptr) {
         // hamming_tau == 0: the filter is remnant equality, answered by

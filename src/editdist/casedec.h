@@ -49,10 +49,10 @@ namespace pigeonring::editdist {
 /// Searcher for ed(x, q) <= tau over a fixed-length string collection via
 /// case decomposition.
 ///
-/// Copies are cheap and parallel-safe: each per-case HammingSearcher shares
-/// its immutable index state between copies, and the only other mutable
-/// member is the epoch-stamped record-dedup scratch. The engine's
-/// per-thread clones rely on this.
+/// Immutable after construction, so any number of threads may Search one
+/// searcher concurrently: the per-case HammingSearchers are const, and the
+/// epoch-stamped record-dedup scratch lives per thread (see
+/// common/epoch_stamps.h), as does each case's Hamming scratch.
 class CaseDecSearcher {
  public:
   /// Longest eligible string: keeps every per-case signature within the
@@ -117,7 +117,7 @@ class CaseDecSearcher {
   /// it the case decomposition, so `candidates_stage2` and
   /// `fast_path_candidates` both equal `candidates`.
   std::vector<int> Search(const std::string& query, int chain_length,
-                          engine::QueryStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr) const;
 
   // --- building blocks, exposed for the storage codec and tests ---
 
@@ -188,10 +188,6 @@ class CaseDecSearcher {
   int tau_ = 0;
   int length_ = 0;
   std::vector<Case> cases_;
-
-  // Per-query record-dedup scratch, epoch-stamped so no O(N) clearing.
-  uint32_t epoch_ = 0;
-  std::vector<uint32_t> seen_epoch_;
 };
 
 }  // namespace pigeonring::editdist

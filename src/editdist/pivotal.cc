@@ -3,11 +3,23 @@
 #include <algorithm>
 
 #include "common/bitvector.h"
+#include "common/epoch_stamps.h"
 #include "common/timer.h"
 #include "editdist/verify.h"
 #include "kernels/kernels.h"
 
 namespace pigeonring::editdist {
+
+namespace {
+
+// Search's per-query scratch, one per thread (common/epoch_stamps.h).
+struct Scratch {
+  EpochStamps seen;
+  std::vector<uint8_t> decided;
+  std::vector<uint64_t> ruled_out;  // bitmask of chain starts ruled out
+};
+
+}  // namespace
 
 EditDistanceSearcher::EditDistanceSearcher(
     const std::vector<std::string>* data, int tau, int kappa)
@@ -40,9 +52,6 @@ EditDistanceSearcher::EditDistanceSearcher(
     }
   }
   index_ = std::move(index);
-  seen_epoch_.assign(n, 0);
-  decided_.assign(n, 0);
-  ruled_out_.assign(n, 0);
 }
 
 EditDistanceSearcher EditDistanceSearcher::FromBuilt(
@@ -53,19 +62,13 @@ EditDistanceSearcher EditDistanceSearcher::FromBuilt(
   PR_CHECK_MSG(tau + 1 <= 64, "ruled-out bitmask supports at most 64 boxes");
   PR_CHECK(index != nullptr);
   PR_CHECK(index->profiles.size() == data->size());
-  EditDistanceSearcher s(data, tau, kappa, std::move(index));
-  return s;
+  return EditDistanceSearcher(data, tau, kappa, std::move(index));
 }
 
 EditDistanceSearcher::EditDistanceSearcher(
     const std::vector<std::string>* data, int tau, int kappa,
     std::shared_ptr<const Index> index)
-    : data_(data), tau_(tau), kappa_(kappa), index_(std::move(index)) {
-  const int n = static_cast<int>(data_->size());
-  seen_epoch_.assign(n, 0);
-  decided_.assign(n, 0);
-  ruled_out_.assign(n, 0);
-}
+    : data_(data), tau_(tau), kappa_(kappa), index_(std::move(index)) {}
 
 std::vector<uint64_t> EditDistanceSearcher::WindowMasks(
     const std::string& s) const {
@@ -102,10 +105,9 @@ int EditDistanceSearcher::ExactBox(const std::string& side, const Gram& gram,
       gram.position - tau_, gram.position + tau_, kappa_ + tau_ - 1);
 }
 
-std::vector<int> EditDistanceSearcher::Search(const std::string& query,
-                                              EditFilter filter,
-                                              int chain_length,
-                                              engine::QueryStats* stats) {
+std::vector<int> EditDistanceSearcher::Search(
+    const std::string& query, EditFilter filter, int chain_length,
+    engine::QueryStats* stats) const {
   StopWatch total_watch;
   StopWatch phase_watch;
   engine::QueryStats local;
@@ -115,20 +117,22 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
   const int q_len = static_cast<int>(query.size());
   const GramProfile q_profile = index.dictionary.Profile(query, tau_);
 
-  ++epoch_;
+  Scratch& scratch = PerThread<Scratch>();
+  scratch.seen.NextEpoch(data_->size(), scratch.decided, scratch.ruled_out);
+  uint8_t* const decided = scratch.decided.data();
+  uint64_t* const ruled_out = scratch.ruled_out.data();
   auto touch = [&](int id) {
-    if (seen_epoch_[id] != epoch_) {
-      seen_epoch_[id] = epoch_;
-      decided_[id] = 0;
-      ruled_out_[id] = 0;
+    if (scratch.seen.Touch(id)) {
+      decided[id] = 0;
+      ruled_out[id] = 0;
     }
   };
 
   std::vector<int> candidates;  // Cand-1 for Pivotal, chain survivors for Ring
   auto add_candidate = [&](int id) {
     touch(id);
-    if (decided_[id]) return;
-    decided_[id] = 1;
+    if (decided[id]) return;
+    decided[id] = 1;
     candidates.push_back(id);
   };
 
@@ -156,8 +160,8 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
     auto ring_check = [&](int id, const GramProfile& side_profile,
                           const std::vector<uint64_t>& other_masks,
                           int entry) {
-      if (decided_[id]) return;
-      if (ruled_out_[id] & (uint64_t{1} << entry)) return;
+      if (decided[id]) return;
+      if (ruled_out[id] & (uint64_t{1} << entry)) return;
       if (filter == EditFilter::kPivotal || l == 1) {
         add_candidate(id);
         return;
@@ -184,7 +188,7 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
       }
       if (failed_at != 0) {
         for (int off = 0; off < failed_at; ++off) {
-          ruled_out_[id] |= uint64_t{1} << ((entry + off) % m);
+          ruled_out[id] |= uint64_t{1} << ((entry + off) % m);
         }
         return;
       }

@@ -46,12 +46,12 @@ using EditSearchStats = engine::QueryStats;
 
 /// Searcher for ed(x, q) <= tau over a fixed string collection.
 ///
-/// Copies are cheap and parallel-safe: the gram dictionary, per-record
-/// profiles, padded strings, window masks, and the pivotal / prefix /
-/// length indexes are immutable after construction and shared between
-/// copies behind a shared_ptr (concurrent reads, no locks); only the
-/// epoch-stamped per-query scratch is per-copy. The engine's per-thread
-/// clones and the api layer's per-session cursors rely on this.
+/// Immutable after construction, so any number of threads may Search one
+/// searcher concurrently: the gram dictionary, per-record profiles, padded
+/// strings, window masks, and the pivotal / prefix / length indexes are
+/// shared between copies behind a shared_ptr (concurrent reads, no locks),
+/// and the epoch-stamped per-query scratch lives per thread (see
+/// common/epoch_stamps.h).
 class EditDistanceSearcher {
  public:
   struct PivotalPosting {
@@ -112,7 +112,7 @@ class EditDistanceSearcher {
   /// `candidates_stage2` equals it.
   std::vector<int> Search(const std::string& query, EditFilter filter,
                           int chain_length,
-                          engine::QueryStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr) const;
 
  private:
   EditDistanceSearcher(const std::vector<std::string>* data, int tau,
@@ -140,11 +140,6 @@ class EditDistanceSearcher {
   int tau_;
   int kappa_;
   std::shared_ptr<const Index> index_;
-
-  uint32_t epoch_ = 0;
-  std::vector<uint32_t> seen_epoch_;
-  std::vector<uint8_t> decided_;
-  std::vector<uint64_t> ruled_out_;
 };
 
 /// Reference result set by exhaustive banded-DP scan.

@@ -1,9 +1,9 @@
 // The unified query engine: batch and self-join drivers over any Searcher.
 //
-// Both drivers shard work over the ExecutionContext's pool: thread 0 runs
-// on the caller's adapter in place, every extra thread gets its own clone
-// (see searcher.h for why clones are race-free), so the sequential path
-// copies nothing. Per-thread outputs merge deterministically:
+// Both drivers shard work over the ExecutionContext's pool, and every
+// thread searches the one const Searcher the caller passed (searchers keep
+// their per-query scratch per thread; see searcher.h), so no driver copies
+// a searcher. Per-thread outputs merge deterministically:
 //
 //  * SearchBatch writes each query's result into its input slot, so the
 //    output order is the input order regardless of scheduling.
@@ -35,33 +35,81 @@ namespace pigeonring::engine {
 
 namespace internal {
 
-/// Thread 0's searcher is `prototype` itself; threads 1..n-1 get clones.
-template <Searcher S>
-std::vector<S*> CloneForThreads(S& prototype, std::vector<S>& clones,
-                                int num_threads) {
-  clones.reserve(static_cast<size_t>(num_threads) - 1);
-  std::vector<S*> searchers = {&prototype};
-  for (int thread = 1; thread < num_threads; ++thread) {
-    clones.push_back(prototype);
-    searchers.push_back(&clones.back());
+/// Concatenates per-thread (or per-shard) pair buffers in order.
+inline std::vector<IdPair> Concat(
+    const std::vector<std::vector<IdPair>>& parts) {
+  size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  std::vector<IdPair> pairs;
+  pairs.reserve(total);
+  for (const auto& part : parts) {
+    pairs.insert(pairs.end(), part.begin(), part.end());
   }
-  return searchers;
+  return pairs;
+}
+
+/// The one self-join loop (engine::SelfJoin, and each shard's tile in
+/// shard::ScatterSelfJoin): searches every record of `probes` against
+/// `records`, whose local hit l is global id `global_ids[l]` (l itself when
+/// `global_ids` is null). Returns each hit as an ordered pair, unsorted and
+/// possibly twice; adds the per-query counters into `*counters`. A probe's
+/// trivial hit on itself (distance 0) is dropped together with its
+/// candidate; with sharded records it surfaces only on the probe's owner
+/// shard, so it is dropped exactly once fleet-wide.
+template <Searcher S>
+std::vector<IdPair> JoinProbes(const S& probes, const S& records,
+                               const std::vector<int>* global_ids,
+                               const ExecutionContext& context,
+                               QueryStats* counters) {
+  const int width = context.num_threads();
+  std::vector<std::vector<IdPair>> found(static_cast<size_t>(width));
+  std::vector<QueryStats> partial(static_cast<size_t>(width));
+  context.pool().ParallelFor(
+      static_cast<int64_t>(probes.size()), context.chunk(), width,
+      [&](int thread, int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          const int probe = static_cast<int>(i);
+          QueryStats query_stats;
+          for (int l : records.Search(probes.query(probe), &query_stats)) {
+            const int id = global_ids ? (*global_ids)[l] : l;
+            if (id == probe) {
+              --query_stats.candidates;
+              continue;
+            }
+            found[thread].push_back(
+                {std::min(probe, id), std::max(probe, id)});
+          }
+          partial[thread] += query_stats;
+        }
+      });
+  for (const QueryStats& p : partial) *counters += p;
+  return Concat(found);
+}
+
+/// Sorts and dedupes `pairs` into the canonical join order and fills
+/// `stats` (when given) from the summed counters and the call's watch.
+inline void FinishJoin(std::vector<IdPair>& pairs, const QueryStats& counters,
+                       const StopWatch& watch, JoinStats* stats) {
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  if (stats != nullptr) {
+    stats->candidates = counters.candidates;
+    stats->pairs = static_cast<int64_t>(pairs.size());
+    stats->total_millis = watch.ElapsedMillis();
+  }
 }
 
 }  // namespace internal
 
-/// Runs every query through `prototype` (thread 0) or a clone of it and
-/// returns the result ids per query, in input order. `stats`, if given,
-/// receives the sum of the per-query counters (its *_millis fields are
-/// summed per-query times, not wall-clock time).
+/// Runs every query through `searcher` and returns the result ids per
+/// query, in input order. `stats`, if given, receives the sum of the
+/// per-query counters (its *_millis fields are summed per-query times, not
+/// wall-clock time).
 template <Searcher S>
 std::vector<std::vector<int>> SearchBatch(
-    S& prototype, const std::vector<typename S::Query>& queries,
+    const S& searcher, const std::vector<typename S::Query>& queries,
     const ExecutionContext& context, QueryStats* stats = nullptr) {
-  std::vector<S> clones;
-  const auto searchers =
-      internal::CloneForThreads(prototype, clones, context.num_threads());
-  std::vector<QueryStats> partial(searchers.size());
+  std::vector<QueryStats> partial(static_cast<size_t>(context.num_threads()));
   std::vector<std::vector<int>> results(queries.size());
   context.pool().ParallelFor(
       static_cast<int64_t>(queries.size()), context.chunk(),
@@ -69,7 +117,7 @@ std::vector<std::vector<int>> SearchBatch(
       [&](int thread, int64_t begin, int64_t end) {
         for (int64_t i = begin; i < end; ++i) {
           QueryStats query_stats;
-          results[i] = searchers[thread]->Search(queries[i], &query_stats);
+          results[i] = searcher.Search(queries[i], &query_stats);
           partial[thread] += query_stats;
         }
       });
@@ -81,56 +129,18 @@ std::vector<std::vector<int>> SearchBatch(
   return results;
 }
 
-/// Probes every record of `prototype`'s collection against the collection
+/// Probes every record of `searcher`'s collection against the collection
 /// itself and returns each unordered matching pair (i, j) with i < j
 /// exactly once, sorted — the same canonical order at any loop width.
 template <Searcher S>
-std::vector<IdPair> SelfJoin(S& prototype, const ExecutionContext& context,
+std::vector<IdPair> SelfJoin(const S& searcher,
+                             const ExecutionContext& context,
                              JoinStats* stats = nullptr) {
   StopWatch watch;
-  std::vector<S> clones;
-  const auto searchers =
-      internal::CloneForThreads(prototype, clones, context.num_threads());
-  std::vector<std::vector<IdPair>> found(searchers.size());
-  std::vector<QueryStats> partial(searchers.size());
-  context.pool().ParallelFor(
-      static_cast<int64_t>(prototype.size()), context.chunk(),
-      context.num_threads(),
-      [&](int thread, int64_t begin, int64_t end) {
-        S& searcher = *searchers[thread];
-        for (int64_t i = begin; i < end; ++i) {
-          const int probe = static_cast<int>(i);
-          QueryStats query_stats;
-          const auto ids = searcher.Search(searcher.query(probe), &query_stats);
-          for (int id : ids) {
-            if (id == probe) {
-              // The probe always passes its own filter (distance 0); drop
-              // that trivial self-candidate from the join's counters.
-              --query_stats.candidates;
-              continue;
-            }
-            found[thread].push_back(
-                {std::min(probe, id), std::max(probe, id)});
-          }
-          partial[thread] += query_stats;
-        }
-      });
-
-  size_t total = 0;
-  for (const auto& f : found) total += f.size();
-  std::vector<IdPair> pairs;
-  pairs.reserve(total);
-  for (const auto& f : found) pairs.insert(pairs.end(), f.begin(), f.end());
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
-  if (stats != nullptr) {
-    QueryStats merged;
-    for (const QueryStats& p : partial) merged += p;
-    stats->candidates = merged.candidates;
-    stats->pairs = static_cast<int64_t>(pairs.size());
-    stats->total_millis = watch.ElapsedMillis();
-  }
+  QueryStats counters;
+  std::vector<IdPair> pairs =
+      internal::JoinProbes(searcher, searcher, nullptr, context, &counters);
+  internal::FinishJoin(pairs, counters, watch, stats);
   return pairs;
 }
 

@@ -95,7 +95,7 @@ class ExecutionContext {
   Executor& executor() const { return *executor_; }
   ThreadPool& pool() const { return executor_->pool(); }
   /// The loop width: how many threads (caller included) a driver may use,
-  /// and how many searcher clones it needs.
+  /// and how many per-thread output buffers it keeps.
   int num_threads() const { return num_threads_; }
   int64_t chunk() const { return chunk_; }
 

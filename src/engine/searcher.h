@@ -1,25 +1,24 @@
 // The engine's Searcher concept and the four case-study adapters.
 //
-// A Searcher is a copyable, self-contained handle over one domain searcher
-// with every per-domain parameter (threshold, chain length, filter mode)
-// bound at construction. It exposes the uniform surface the batch drivers
-// in engine/engine.h need:
+// A Searcher is a self-contained, immutable handle over one domain
+// searcher with every per-domain parameter (threshold, chain length,
+// filter mode) bound at construction. It exposes the uniform surface the
+// batch drivers in engine/engine.h need:
 //
 //   size()       — number of records in the joined/probed collection
 //   query(i)     — record i viewed as a query object
 //   Search(q, s) — ids of all records matching q; the wrapped searcher
 //                  fills the engine::QueryStats itself
 //
-// Copy construction is the cloning mechanism for parallel execution: the
-// engine drivers copy the adapter once per *extra* thread (thread 0 uses
-// the caller's adapter in place), and the api layer copies it once per
-// Session cursor. Copies are cheap because every wrapped searcher keeps
-// its immutable state — indexes, collections, kernel mirrors — behind
-// shared_ptr<const> (concurrent reads, no locks) and only its
-// epoch-stamped per-query scratch per-copy. The set / edit / graph
-// adapters additionally view their caller-owned collection through a
-// const pointer (the api::Db snapshot owns it and outlives every cursor).
-// Clones never share mutable state, so they are safe to use concurrently.
+// Every method is const, and one adapter serves any number of threads at
+// once: each wrapped searcher keeps its immutable state — indexes,
+// collections, kernel mirrors — behind shared_ptr<const> (concurrent
+// reads, no locks) and its epoch-stamped per-query scratch per thread
+// (common/epoch_stamps.h). The drivers, the shard fleet, and every api
+// Session therefore share one adapter and copy nothing per caller. The
+// set / edit / graph adapters additionally view their caller-owned
+// collection through a const pointer (the api::Db snapshot owns it and
+// outlives every reader).
 
 #ifndef PIGEONRING_ENGINE_SEARCHER_H_
 #define PIGEONRING_ENGINE_SEARCHER_H_
@@ -39,15 +38,13 @@
 namespace pigeonring::engine {
 
 template <typename S>
-concept Searcher =
-    std::copy_constructible<S> &&
-    requires(S s, const S cs, const typename S::Query& q, int i,
-             QueryStats* stats) {
-      typename S::Query;
-      { cs.size() } -> std::convertible_to<int>;
-      { cs.query(i) } -> std::convertible_to<const typename S::Query&>;
-      { s.Search(q, stats) } -> std::same_as<std::vector<int>>;
-    };
+concept Searcher = requires(const S s, const typename S::Query& q, int i,
+                            QueryStats* stats) {
+  typename S::Query;
+  { s.size() } -> std::convertible_to<int>;
+  { s.query(i) } -> std::convertible_to<const typename S::Query&>;
+  { s.Search(q, stats) } -> std::same_as<std::vector<int>>;
+};
 
 /// Hamming distance search (§6.1) with a fixed tau / chain length /
 /// allocation mode. Owns the searcher, which owns the collection.
@@ -66,7 +63,8 @@ class HammingAdapter {
   int size() const { return searcher_.num_objects(); }
   const Query& query(int i) const { return searcher_.objects()[i]; }
   const hamming::HammingSearcher& searcher() const { return searcher_; }
-  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
+  std::vector<int> Search(const Query& query,
+                          QueryStats* stats = nullptr) const {
     return searcher_.Search(query, tau_, chain_length_, mode_, stats);
   }
 
@@ -78,7 +76,7 @@ class HammingAdapter {
 };
 
 /// Set similarity search (§6.2). The threshold and measure live in the
-/// wrapped searcher; `collection` must outlive the adapter and all copies.
+/// wrapped searcher; `collection` must outlive the adapter.
 class SetAdapter {
  public:
   using Query = setsim::RankedSet;
@@ -93,7 +91,8 @@ class SetAdapter {
   const Query& query(int i) const { return collection_->record(i); }
   const setsim::PkwiseSearcher& searcher() const { return searcher_; }
   const setsim::SetCollection* collection() const { return collection_; }
-  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
+  std::vector<int> Search(const Query& query,
+                          QueryStats* stats = nullptr) const {
     return searcher_.Search(query, chain_length_, stats);
   }
 
@@ -103,8 +102,8 @@ class SetAdapter {
   int chain_length_;
 };
 
-/// String edit distance search (§6.3). `data` must outlive the adapter and
-/// all copies (the wrapped searcher already points at it).
+/// String edit distance search (§6.3). `data` must outlive the adapter (the
+/// wrapped searcher already points at it).
 class EditAdapter {
  public:
   using Query = std::string;
@@ -121,7 +120,8 @@ class EditAdapter {
   const Query& query(int i) const { return (*data_)[i]; }
   const editdist::EditDistanceSearcher& searcher() const { return searcher_; }
   const std::vector<std::string>* data() const { return data_; }
-  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
+  std::vector<int> Search(const Query& query,
+                          QueryStats* stats = nullptr) const {
     return searcher_.Search(query, filter_, chain_length_, stats);
   }
 
@@ -135,8 +135,7 @@ class EditAdapter {
 /// Fixed-length string edit distance search via case decomposition (the
 /// fast path; see editdist/casedec.h). Interchangeable with EditAdapter —
 /// same Query type, identical result sets on eligible collections. `data`
-/// must outlive the adapter and all copies (the wrapped searcher already
-/// points at it).
+/// must outlive the adapter (the wrapped searcher already points at it).
 class EditFastAdapter {
  public:
   using Query = std::string;
@@ -151,7 +150,8 @@ class EditFastAdapter {
   const Query& query(int i) const { return (*data_)[i]; }
   const editdist::CaseDecSearcher& searcher() const { return searcher_; }
   const std::vector<std::string>* data() const { return data_; }
-  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
+  std::vector<int> Search(const Query& query,
+                          QueryStats* stats = nullptr) const {
     return searcher_.Search(query, chain_length_, stats);
   }
 
@@ -161,8 +161,7 @@ class EditFastAdapter {
   int chain_length_;
 };
 
-/// Graph edit distance search (§6.4). `data` must outlive the adapter and
-/// all copies.
+/// Graph edit distance search (§6.4). `data` must outlive the adapter.
 class GraphAdapter {
  public:
   using Query = graphed::Graph;
@@ -179,7 +178,8 @@ class GraphAdapter {
   const Query& query(int i) const { return (*data_)[i]; }
   const graphed::GraphSearcher& searcher() const { return searcher_; }
   const std::vector<graphed::Graph>* data() const { return data_; }
-  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
+  std::vector<int> Search(const Query& query,
+                          QueryStats* stats = nullptr) const {
     return searcher_.Search(query, filter_, chain_length_, stats);
   }
 

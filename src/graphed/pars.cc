@@ -180,7 +180,7 @@ int GraphSearcher::HistogramLowerBound(const LabelHistogram& a,
 
 std::vector<int> GraphSearcher::Search(const Graph& query, GraphFilter filter,
                                        int chain_length,
-                                       engine::QueryStats* stats) {
+                                       engine::QueryStats* stats) const {
   StopWatch total_watch;
   StopWatch phase_watch;
   engine::QueryStats local;

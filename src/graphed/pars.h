@@ -48,11 +48,10 @@ int DeletionNeighborhoodBound(const Part& part, const Graph& query,
 
 /// Searcher for ged(x, q) <= tau over a fixed graph collection.
 ///
-/// Copies are cheap and parallel-safe: the per-graph partitions and label
-/// histograms are immutable after construction and shared between copies
-/// behind a shared_ptr (concurrent reads, no locks); the searcher keeps no
-/// per-query scratch. The engine's per-thread clones and the api layer's
-/// per-session cursors rely on this.
+/// Immutable after construction, so any number of threads may Search one
+/// searcher concurrently: the per-graph partitions and label histograms
+/// are shared between copies behind a shared_ptr (concurrent reads, no
+/// locks), and the searcher keeps no per-query scratch.
 class GraphSearcher {
  public:
   // Compact per-graph label histograms for the scan-time lower bound (the
@@ -94,7 +93,7 @@ class GraphSearcher {
   /// l in [tau - 2, tau]).
   std::vector<int> Search(const Graph& query, GraphFilter filter,
                           int chain_length,
-                          engine::QueryStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr) const;
 
  private:
   GraphSearcher(const std::vector<Graph>* data, int tau,

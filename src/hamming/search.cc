@@ -4,10 +4,23 @@
 #include <queue>
 #include <tuple>
 
+#include "common/epoch_stamps.h"
 #include "common/timer.h"
 #include "kernels/kernels.h"
 
 namespace pigeonring::hamming {
+
+namespace {
+
+// Search's per-query scratch, one per thread (common/epoch_stamps.h).
+struct Scratch {
+  EpochStamps seen;
+  std::vector<uint64_t> ruled_out;  // bitmask of chain starts ruled out
+  std::vector<uint8_t> decided;     // candidate already verified
+  std::vector<uint8_t> verdicts;    // batched-verification output buffer
+};
+
+}  // namespace
 
 HammingSearcher::HammingSearcher(std::vector<BitVector> objects,
                                  int num_parts)
@@ -21,9 +34,6 @@ HammingSearcher::HammingSearcher(std::vector<BitVector> objects,
       *objects_, Partition::EquiWidth(dims, m));
   PR_CHECK_MSG(index_->partition().num_parts() <= 64,
                "ruled-out bitmask supports at most 64 parts");
-  seen_epoch_.assign(objects_->size(), 0);
-  ruled_out_.assign(objects_->size(), 0);
-  decided_.assign(objects_->size(), 0);
 }
 
 HammingSearcher HammingSearcher::FromBuilt(
@@ -45,9 +55,6 @@ HammingSearcher HammingSearcher::FromBuilt(
       kernels::FlatBitTable::FromVectors(*s.objects_));
   s.index_ = std::move(index);
   s.alloc_index_ = std::move(alloc_index);
-  s.seen_epoch_.assign(s.objects_->size(), 0);
-  s.ruled_out_.assign(s.objects_->size(), 0);
-  s.decided_.assign(s.objects_->size(), 0);
   return s;
 }
 
@@ -110,7 +117,7 @@ std::vector<int> HammingSearcher::AllocateThresholds(
 std::vector<int> HammingSearcher::Search(const BitVector& query, int tau,
                                          int chain_length,
                                          AllocationMode mode,
-                                         engine::QueryStats* stats) {
+                                         engine::QueryStats* stats) const {
   const int m = num_parts();
   const int l = std::clamp(chain_length, 1, m);
   const Partition& partition = index_->partition();
@@ -127,15 +134,18 @@ std::vector<int> HammingSearcher::Search(const BitVector& query, int tau,
   std::vector<int> t_prefix(2 * m + 1, 0);
   for (int i = 0; i < 2 * m; ++i) t_prefix[i + 1] = t_prefix[i] + t[i % m];
 
-  ++epoch_;
+  Scratch& scratch = PerThread<Scratch>();
+  scratch.seen.NextEpoch(objects_->size(), scratch.ruled_out,
+                         scratch.decided);
+  uint64_t* const ruled_out = scratch.ruled_out.data();
+  uint8_t* const decided = scratch.decided.data();
   engine::QueryStats local;
   std::vector<int> candidate_ids;
 
   auto touch = [&](int id) {
-    if (seen_epoch_[id] != epoch_) {
-      seen_epoch_[id] = epoch_;
-      ruled_out_[id] = 0;
-      decided_[id] = 0;
+    if (scratch.seen.Touch(id)) {
+      ruled_out[id] = 0;
+      decided[id] = 0;
     }
   };
 
@@ -146,8 +156,8 @@ std::vector<int> HammingSearcher::Search(const BitVector& query, int tau,
       index_->ProbeAtRadius(query, i, r, [&](int id, int dist) {
         ++local.index_hits;
         touch(id);
-        if (decided_[id]) return;
-        if (ruled_out_[id] & (uint64_t{1} << i)) return;
+        if (decided[id]) return;
+        if (ruled_out[id] & (uint64_t{1} << i)) return;
         // Step 2: incremental prefix-viable chain check from part i
         // (Theorem 7 bounds: sum of thresholds plus len - 1 slack).
         ++local.chain_checks;
@@ -168,11 +178,11 @@ std::vector<int> HammingSearcher::Search(const BitVector& query, int tau,
           // Corollary 2: no chain starting in [i, i + failed_at - 1] can be
           // prefix-viable at length l.
           for (int k = 0; k < failed_at; ++k) {
-            ruled_out_[id] |= uint64_t{1} << ((i + k) % m);
+            ruled_out[id] |= uint64_t{1} << ((i + k) % m);
           }
           return;
         }
-        decided_[id] = 1;
+        decided[id] = 1;
         candidate_ids.push_back(id);
       });
     }
@@ -185,12 +195,13 @@ std::vector<int> HammingSearcher::Search(const BitVector& query, int tau,
   // per surviving candidate, rows prefetched ahead of the cursor.
   std::vector<int> results;
   const int num_candidates = static_cast<int>(candidate_ids.size());
-  verdicts_.resize(candidate_ids.size());
+  std::vector<uint8_t>& verdicts = scratch.verdicts;
+  verdicts.resize(candidate_ids.size());
   kernels::VerifyHammingLeqBatch(flat, query_words, tau,
                                  candidate_ids.data(), num_candidates,
-                                 verdicts_.data());
+                                 verdicts.data());
   for (int c = 0; c < num_candidates; ++c) {
-    if (verdicts_[c]) results.push_back(candidate_ids[c]);
+    if (verdicts[c]) results.push_back(candidate_ids[c]);
   }
   std::sort(results.begin(), results.end());
   local.verify_millis = phase_watch.ElapsedMillis();

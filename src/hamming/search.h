@@ -45,11 +45,11 @@ using SearchStats = engine::QueryStats;
 
 /// A reusable searcher over a fixed collection of binary vectors.
 ///
-/// Copies are cheap and parallel-safe: the collection, its FlatBitTable
-/// kernel mirror, and the partition index are immutable after construction
-/// and shared between copies (concurrent reads, no locks needed); only the
-/// per-query epoch-stamped scratch is per-copy. This is what the engine's
-/// per-thread searcher clones rely on.
+/// Immutable after construction, so any number of threads may Search one
+/// searcher concurrently: the collection, its FlatBitTable kernel mirror,
+/// and the partition index are shared between copies (concurrent reads, no
+/// locks), and the per-query epoch-stamped scratch lives per thread (see
+/// common/epoch_stamps.h). Copies are cheap.
 class HammingSearcher {
  public:
   /// Builds the per-part index. `num_parts` defaults to the paper's setting
@@ -89,7 +89,7 @@ class HammingSearcher {
   /// checks), verify_millis and total_millis.
   std::vector<int> Search(const BitVector& query, int tau, int chain_length,
                           AllocationMode mode = AllocationMode::kCostModel,
-                          engine::QueryStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr) const;
 
   /// Exposes the per-part threshold allocation for tests and benches.
   std::vector<int> AllocateThresholds(const BitVector& query, int tau,
@@ -107,13 +107,6 @@ class HammingSearcher {
   // Overrides index_ for threshold allocation only (see FromBuilt). Null in
   // the unsharded case.
   std::shared_ptr<const PartitionIndex> alloc_index_;
-
-  // Per-query scratch, epoch-stamped so no O(N) clearing is needed.
-  uint32_t epoch_ = 0;
-  std::vector<uint32_t> seen_epoch_;
-  std::vector<uint64_t> ruled_out_;  // bitmask of chain starts ruled out
-  std::vector<uint8_t> decided_;     // candidate already verified
-  std::vector<uint8_t> verdicts_;    // batched-verification output buffer
 };
 
 /// Reference result set by exhaustive scan; used by tests and the benches'

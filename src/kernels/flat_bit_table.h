@@ -19,8 +19,7 @@
 // traffic by 8x for 64-bit rows and make small-dimension verification
 // bandwidth-bound. Neighboring rows are adjacent, so the kernels in
 // kernels.h can prefetch rows ahead of the verification cursor. The table
-// is copyable (the engine's parallel drivers clone searchers per thread)
-// and movable.
+// is immutable once built; searchers share it behind shared_ptr<const>.
 
 #ifndef PIGEONRING_KERNELS_FLAT_BIT_TABLE_H_
 #define PIGEONRING_KERNELS_FLAT_BIT_TABLE_H_

@@ -11,9 +11,10 @@
 //    the next request — on any connection.
 //  * Read ops (search / batch / self-join) run synchronously on the
 //    connection thread through its own Session (Search / SearchBatch /
-//    SelfJoin): no cursor copy and no thread hop per request. A batch or
-//    join still fans out over the snapshot's executor when the spec asks
-//    for threads; the accept loop never computes.
+//    SelfJoin): no thread hop per request, and the searchers' per-query
+//    scratch is the connection thread's own (common/epoch_stamps.h). A
+//    batch or join still fans out over the snapshot's executor when the
+//    spec asks for threads; the accept loop never computes.
 //  * Mutation ops (insert / remove / compact) funnel through one shared
 //    api::Writer behind a mutex — the single-writer contract, enforced
 //    server-side. The writer is created on the first mutation op, so a

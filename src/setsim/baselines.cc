@@ -3,12 +3,26 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/epoch_stamps.h"
 #include "common/timer.h"
 #include "setsim/prefix.h"
 
 namespace pigeonring::setsim {
 
 namespace {
+
+// AllPairsSearcher::Search's per-query scratch, one per thread
+// (common/epoch_stamps.h).
+struct AllPairsScratch {
+  EpochStamps seen;
+};
+
+// PartAllocSearcher::Search's per-query scratch, one per thread.
+struct PartAllocScratch {
+  EpochStamps seen;
+  std::vector<int> part_counts;  // num_records * num_parts
+  std::vector<int> touched;
+};
 
 /// Prefix length for plain (1-wise) prefix filtering: the first
 /// |x| - o_x + 1 tokens, where o_x = ceil(tau * |x|).
@@ -34,11 +48,10 @@ AllPairsSearcher::AllPairsSearcher(const SetCollection* collection,
       inverted_[x[p]].push_back({id, p});
     }
   }
-  seen_epoch_.assign(collection_->num_records(), 0);
 }
 
 std::vector<int> AllPairsSearcher::Search(const RankedSet& query,
-                                          engine::QueryStats* stats) {
+                                          engine::QueryStats* stats) const {
   StopWatch total_watch;
   StopWatch phase_watch;
   engine::QueryStats local;
@@ -48,15 +61,15 @@ std::vector<int> AllPairsSearcher::Search(const RankedSet& query,
   const int min_size = JaccardMinSize(q_size, tau_);
   const int max_size = JaccardMaxSize(q_size, tau_);
 
-  ++epoch_;
+  EpochStamps& seen = PerThread<AllPairsScratch>().seen;
+  seen.NextEpoch(static_cast<size_t>(collection_->num_records()));
   std::vector<int> candidates;
   for (int p = 0; p < q_prefix; ++p) {
     const int rank = query[p];
     if (rank < 0 || rank >= static_cast<int>(inverted_.size())) continue;
     for (const Posting& posting : inverted_[rank]) {
       ++local.index_hits;
-      if (seen_epoch_[posting.id] == epoch_) continue;
-      seen_epoch_[posting.id] = epoch_;
+      if (!seen.Touch(posting.id)) continue;
       const RankedSet& x = collection_->record(posting.id);
       const int x_size = static_cast<int>(x.size());
       if (x_size < min_size || x_size > max_size) continue;
@@ -99,13 +112,10 @@ PartAllocSearcher::PartAllocSearcher(const SetCollection* collection,
   for (int id = 0; id < collection_->num_records(); ++id) {
     for (int rank : collection_->record(id)) inverted_[rank].push_back(id);
   }
-  seen_epoch_.assign(collection_->num_records(), 0);
-  part_counts_.assign(
-      static_cast<size_t>(collection_->num_records()) * num_parts_, 0);
 }
 
 std::vector<int> PartAllocSearcher::Search(const RankedSet& query,
-                                           engine::QueryStats* stats) {
+                                           engine::QueryStats* stats) const {
   StopWatch total_watch;
   StopWatch phase_watch;
   engine::QueryStats local;
@@ -121,8 +131,14 @@ std::vector<int> PartAllocSearcher::Search(const RankedSet& query,
     t[k] = budget / num_parts_ + (k < budget % num_parts_ ? 1 : 0);
   }
 
-  ++epoch_;
-  touched_.clear();
+  const size_t n = static_cast<size_t>(collection_->num_records());
+  const size_t stride = static_cast<size_t>(num_parts_);
+  PartAllocScratch& scratch = PerThread<PartAllocScratch>();
+  scratch.seen.NextEpoch(n);
+  GrowTo(scratch.part_counts, n * stride);
+  int* const part_counts = scratch.part_counts.data();
+  std::vector<int>& touched = scratch.touched;
+  touched.clear();
   for (int rank : query) {
     if (rank < 0 || rank >= static_cast<int>(inverted_.size())) continue;
     const int k = TokenClass(rank, num_parts_) - 1;
@@ -130,18 +146,17 @@ std::vector<int> PartAllocSearcher::Search(const RankedSet& query,
       const int x_size = static_cast<int>(collection_->record(id).size());
       if (x_size < min_size || x_size > max_size) continue;
       ++local.index_hits;
-      if (seen_epoch_[id] != epoch_) {
-        seen_epoch_[id] = epoch_;
-        std::memset(&part_counts_[static_cast<size_t>(id) * num_parts_], 0,
-                    sizeof(int) * num_parts_);
-        touched_.push_back(id);
+      int* const counts = part_counts + static_cast<size_t>(id) * stride;
+      if (scratch.seen.Touch(id)) {
+        std::memset(counts, 0, sizeof(int) * stride);
+        touched.push_back(id);
       }
-      ++part_counts_[static_cast<size_t>(id) * num_parts_ + k];
+      ++counts[k];
     }
   }
   std::vector<int> candidates;
-  for (int id : touched_) {
-    const int* counts = &part_counts_[static_cast<size_t>(id) * num_parts_];
+  for (int id : touched) {
+    const int* counts = part_counts + static_cast<size_t>(id) * stride;
     for (int k = 0; k < num_parts_; ++k) {
       if (counts[k] >= t[k]) {
         candidates.push_back(id);

@@ -16,7 +16,6 @@
 #ifndef PIGEONRING_SETSIM_BASELINES_H_
 #define PIGEONRING_SETSIM_BASELINES_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "setsim/pkwise.h"
@@ -30,7 +29,7 @@ class AllPairsSearcher {
   AllPairsSearcher(const SetCollection* collection, double tau);
 
   std::vector<int> Search(const RankedSet& query,
-                          engine::QueryStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr) const;
 
  private:
   struct Posting {
@@ -41,9 +40,6 @@ class AllPairsSearcher {
   const SetCollection* collection_;
   double tau_;
   std::vector<std::vector<Posting>> inverted_;  // prefix tokens only
-
-  uint32_t epoch_ = 0;
-  std::vector<uint32_t> seen_epoch_;
 };
 
 /// Partition-count baseline (PartAlloc-style).
@@ -54,18 +50,13 @@ class PartAllocSearcher {
                     int num_parts = 4);
 
   std::vector<int> Search(const RankedSet& query,
-                          engine::QueryStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr) const;
 
  private:
   const SetCollection* collection_;
   double tau_;
   int num_parts_;
   std::vector<std::vector<int>> inverted_;  // all tokens
-
-  uint32_t epoch_ = 0;
-  std::vector<uint32_t> seen_epoch_;
-  std::vector<int> part_counts_;
-  std::vector<int> touched_;
 };
 
 }  // namespace pigeonring::setsim

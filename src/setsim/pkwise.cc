@@ -4,9 +4,21 @@
 #include <cstring>
 #include <limits>
 
+#include "common/epoch_stamps.h"
 #include "common/timer.h"
 
 namespace pigeonring::setsim {
+
+namespace {
+
+// Search's per-query scratch, one per thread (common/epoch_stamps.h).
+struct Scratch {
+  EpochStamps seen;
+  std::vector<int> class_counts;  // num_records * (num_classes + 1)
+  std::vector<int> touched;
+};
+
+}  // namespace
 
 int PkwiseSearcher::RecordMinOverlap(int size) const {
   if (measure_ == SetMeasure::kOverlap) {
@@ -62,9 +74,6 @@ PkwiseSearcher::PkwiseSearcher(const SetCollection* collection, double tau,
     }
   }
   index_ = std::move(index);
-  seen_epoch_.assign(n, 0);
-  class_counts_.assign(static_cast<size_t>(n) * (num_classes_ + 1), 0);
-  touched_.reserve(1024);
 }
 
 PkwiseSearcher::PkwiseSearcher(const SetCollection* collection, double tau,
@@ -81,10 +90,6 @@ PkwiseSearcher::PkwiseSearcher(const SetCollection* collection, double tau,
   PR_CHECK(index_ != nullptr);
   PR_CHECK(static_cast<int>(index_->prefixes.size()) ==
            collection_->num_records());
-  const int n = collection_->num_records();
-  seen_epoch_.assign(n, 0);
-  class_counts_.assign(static_cast<size_t>(n) * (num_classes_ + 1), 0);
-  touched_.reserve(1024);
 }
 
 PkwiseSearcher PkwiseSearcher::FromBuilt(const SetCollection* collection,
@@ -96,7 +101,7 @@ PkwiseSearcher PkwiseSearcher::FromBuilt(const SetCollection* collection,
 
 std::vector<int> PkwiseSearcher::Search(const RankedSet& query,
                                         int chain_length,
-                                        engine::QueryStats* stats) {
+                                        engine::QueryStats* stats) const {
   StopWatch total_watch;
   StopWatch phase_watch;
   engine::QueryStats local;
@@ -107,8 +112,14 @@ std::vector<int> PkwiseSearcher::Search(const RankedSet& query,
   const PrefixInfo q_info = ComputePrefixInfo(query, o_q, num_classes_);
   const auto [min_size, max_size] = SizeWindow(q_size);
 
-  ++epoch_;
-  touched_.clear();
+  const size_t n = static_cast<size_t>(collection_->num_records());
+  const size_t stride = static_cast<size_t>(num_classes_) + 1;
+  Scratch& scratch = PerThread<Scratch>();
+  scratch.seen.NextEpoch(n);
+  GrowTo(scratch.class_counts, n * stride);
+  int* const class_counts = scratch.class_counts.data();
+  std::vector<int>& touched = scratch.touched;
+  touched.clear();
 
   // Step 1: accumulate per-class shared prefix counts (= class box values).
   const Index& index = *index_;
@@ -120,22 +131,19 @@ std::vector<int> PkwiseSearcher::Search(const RankedSet& query,
       const int x_size = static_cast<int>(collection_->record(id).size());
       if (x_size < min_size || x_size > max_size) continue;
       ++local.index_hits;
-      if (seen_epoch_[id] != epoch_) {
-        seen_epoch_[id] = epoch_;
-        std::memset(&class_counts_[static_cast<size_t>(id) *
-                                   (num_classes_ + 1)],
-                    0, sizeof(int) * (num_classes_ + 1));
-        touched_.push_back(id);
+      int* const counts = class_counts + static_cast<size_t>(id) * stride;
+      if (scratch.seen.Touch(id)) {
+        std::memset(counts, 0, sizeof(int) * stride);
+        touched.push_back(id);
       }
-      ++class_counts_[static_cast<size_t>(id) * (num_classes_ + 1) + k];
+      ++counts[k];
     }
   }
 
   // Step 2: entry viability + prefix-viable chain check per touched record.
   std::vector<int> candidates;
-  for (int id : touched_) {
-    const int* counts =
-        &class_counts_[static_cast<size_t>(id) * (num_classes_ + 1)];
+  for (int id : touched) {
+    const int* counts = class_counts + static_cast<size_t>(id) * stride;
     const PrefixInfo& x_info = index.prefixes[id];
     // The applicable threshold side is the one whose prefix ends first in
     // the global order; its suffix box is provably non-viable, so every

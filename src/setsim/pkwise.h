@@ -47,11 +47,11 @@ enum class SetMeasure {
 /// pkwise / Ring searcher for thresholded set similarity queries over a
 /// fixed collection.
 ///
-/// Copies are cheap and parallel-safe: the per-record prefix metadata and
-/// the prefix-token inverted index are immutable after construction and
-/// shared between copies behind a shared_ptr (concurrent reads, no locks);
-/// only the epoch-stamped per-query scratch is per-copy. The engine's
-/// per-thread clones and the api layer's per-session cursors rely on this.
+/// Immutable after construction, so any number of threads may Search one
+/// searcher concurrently: the per-record prefix metadata and the
+/// prefix-token inverted index are shared between copies behind a
+/// shared_ptr (concurrent reads, no locks), and the epoch-stamped
+/// per-query scratch lives per thread (see common/epoch_stamps.h).
 class PkwiseSearcher {
  public:
   /// The built prefix metadata + inverted index. Immutable after
@@ -82,7 +82,7 @@ class PkwiseSearcher {
   /// produced by SetCollection::MapQuery (or be a record of the
   /// collection). chain_length == 1 is the pkwise baseline.
   std::vector<int> Search(const RankedSet& query, int chain_length,
-                          engine::QueryStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr) const;
 
  private:
   PkwiseSearcher(const SetCollection* collection, double tau, int num_boxes,
@@ -101,12 +101,6 @@ class PkwiseSearcher {
   int num_classes_;  // num_boxes_ - 1
   SetMeasure measure_;
   std::shared_ptr<const Index> index_;
-
-  // Per-query scratch (epoch-stamped).
-  uint32_t epoch_ = 0;
-  std::vector<uint32_t> seen_epoch_;
-  std::vector<int> class_counts_;  // num_records * (num_classes + 1)
-  std::vector<int> touched_;
 };
 
 /// Reference result set by exhaustive Jaccard scan.

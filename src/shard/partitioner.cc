@@ -4,10 +4,8 @@ namespace pigeonring::shard {
 
 std::vector<std::vector<int>> Partitioner::Partition(int num_records) const {
   std::vector<std::vector<int>> owned(static_cast<size_t>(shards_));
-  if (mode_ == PlacementMode::kRoundRobin) {
-    for (auto& o : owned) {
-      o.reserve(static_cast<size_t>(num_records / shards_ + 1));
-    }
+  for (auto& o : owned) {
+    o.reserve(static_cast<size_t>(num_records / shards_ + 1));
   }
   for (int g = 0; g < num_records; ++g) {
     owned[static_cast<size_t>(ShardOf(g))].push_back(g);
@@ -16,7 +14,7 @@ std::vector<std::vector<int>> Partitioner::Partition(int num_records) const {
 }
 
 void Partitioner::Encode(storage::ByteWriter& w) const {
-  w.U32(static_cast<uint32_t>(mode_));
+  w.U32(0);  // placement mode: round-robin, the only one
   w.U32(static_cast<uint32_t>(shards_));
 }
 
@@ -24,9 +22,8 @@ bool Partitioner::Decode(storage::ByteReader& r) {
   const uint32_t mode = r.U32();
   const uint32_t shards = r.U32();
   if (!r.AtEnd()) return false;
-  if (mode > static_cast<uint32_t>(PlacementMode::kHash)) return false;
+  if (mode != 0) return false;
   if (shards < 2 || shards > static_cast<uint32_t>(kMaxShards)) return false;
-  mode_ = static_cast<PlacementMode>(mode);
   shards_ = static_cast<int>(shards);
   return true;
 }

@@ -2,14 +2,15 @@
 // item 4).
 //
 // A Fleet is the serving-time shape of one collection: the partitioner and
-// one searcher per nonempty shard. At shards = 1 the single shard is a copy
-// of the built prototype adapter (index state shared behind shared_ptr,
-// global ids [0, N)); at S > 1 the shards are projected out of it (see
-// shard/split.h). Shards 1..S-1 each own an engine::Executor, so shards run
-// their data-parallel loops on disjoint thread pools (shard-per-core
-// locality; a shared pool would serialize the per-shard loops, see
-// common/thread_pool.h). Shard 0 owns none: the coordinator runs it on the
-// caller's executor.
+// one const searcher per nonempty shard, which every reader shares (the
+// searchers keep their per-query scratch per thread). At shards = 1 the
+// single shard is a copy of the built prototype adapter (index state
+// shared behind shared_ptr, global ids [0, N)); at S > 1 the shards are
+// projected out of it (see shard/split.h). Shards 1..S-1 each own an
+// engine::Executor, so shards run their data-parallel loops on disjoint
+// thread pools (shard-per-core locality; a shared pool would serialize the
+// per-shard loops, see common/thread_pool.h). Shard 0 owns none: the
+// coordinator runs it on the caller's executor.
 //
 // The scatter drivers mirror engine/engine.h's merge contracts exactly, so
 // the gathered answer is byte-identical to engine::SearchBatch / SelfJoin
@@ -19,16 +20,16 @@
 //    query; local hits are remapped through the shard's ascending
 //    global-id list and merged (each domain returns sorted ids, so the
 //    merged union equals the unsharded sorted result; one shard's hits
-//    pass through as they are). Stats are summed in
-//    ascending shard order with the existing QueryStats::operator+= —
+//    pass through as they are). Stats are summed in ascending shard order
+//    with the existing QueryStats::operator+= —
 //    integral counters partition exactly across shards (split.h explains
 //    why), so the sums reproduce the unsharded counters.
 //  * ScatterSelfJoin: shard s answers the join tile "all N probes vs my
-//    records". Probes come from the *full* collection (`full.query(g)`),
+//    records" with engine::SelfJoin's own loop (engine::internal::
+//    JoinProbes). Probes come from the *full* collection (`full.query(g)`),
 //    so every (probe, record) pair is examined exactly once fleet-wide, on
 //    the record's owner shard. The trivial self-candidate g == g surfaces
-//    only on g's owner shard and is dropped there with the same
-//    `--candidates` the unsharded driver applies; concatenated pair
+//    only on g's owner shard and is dropped there; concatenated pair
 //    buffers are sorted + deduplicated into the same canonical order.
 //
 // Concurrency: the batch and join drivers Submit one job per shard 1..S-1
@@ -68,14 +69,14 @@
 namespace pigeonring::shard {
 
 /// One collection, ready to serve: always at least one shard. Immutable
-/// after assembly and shared between cursors behind shared_ptr<const
+/// after assembly and shared between readers behind shared_ptr<const
 /// Fleet>; the executors are internally synchronized (the same
 /// const-DbState pattern the api layer uses).
 template <engine::Searcher S>
 struct Fleet {
   struct Shard {
     std::vector<int> global_ids;  // local id -> global id, ascending
-    S adapter;                    // prototype; cursors copy it for scratch
+    S adapter;                    // const; every reader searches it
     std::shared_ptr<const void> backing;
     // Null for shard 0, which runs on the caller's executor.
     std::unique_ptr<engine::Executor> executor;
@@ -105,16 +106,6 @@ std::shared_ptr<const Fleet<S>> MakeFleet(const Partitioner& partitioner,
                                : std::make_unique<engine::Executor>(1)});
   }
   return fleet;
-}
-
-/// Per-cursor copies of every shard adapter (Search mutates epoch-stamped
-/// scratch, so cursors must not share the fleet's prototypes).
-template <engine::Searcher S>
-std::vector<S> CloneShardAdapters(const Fleet<S>& fleet) {
-  std::vector<S> scratch;
-  scratch.reserve(fleet.shards.size());
-  for (const auto& shard : fleet.shards) scratch.push_back(shard.adapter);
-  return scratch;
 }
 
 namespace internal {
@@ -172,15 +163,14 @@ void ForEachShard(const Fleet<S>& fleet, const engine::ExecutionContext& ctx,
 /// a fan-out; the per-shard loops already are the parallelism).
 template <engine::Searcher S>
 std::vector<int> ScatterSearchOne(const Fleet<S>& fleet,
-                                  std::vector<S>& scratch,
                                   const typename S::Query& query,
                                   engine::QueryStats* stats = nullptr) {
   engine::QueryStats merged;
   std::vector<int> ids;
   for (size_t s = 0; s < fleet.shards.size(); ++s) {
     engine::QueryStats shard_stats;
-    internal::MergeGlobal(fleet, s, scratch[s].Search(query, &shard_stats),
-                          ids);
+    internal::MergeGlobal(
+        fleet, s, fleet.shards[s].adapter.Search(query, &shard_stats), ids);
     merged += shard_stats;
   }
   if (stats != nullptr) *stats = merged;
@@ -191,8 +181,7 @@ std::vector<int> ScatterSearchOne(const Fleet<S>& fleet,
 /// until every shard has answered.
 template <engine::Searcher S>
 std::vector<std::vector<int>> ScatterSearchBatch(
-    const Fleet<S>& fleet, std::vector<S>& scratch,
-    const std::vector<typename S::Query>& queries,
+    const Fleet<S>& fleet, const std::vector<typename S::Query>& queries,
     const engine::ExecutionContext& ctx,
     engine::QueryStats* stats = nullptr) {
   const size_t num_shards = fleet.shards.size();
@@ -200,8 +189,8 @@ std::vector<std::vector<int>> ScatterSearchBatch(
   std::vector<engine::QueryStats> shard_stats(num_shards);
   internal::ForEachShard(
       fleet, ctx, [&](size_t s, const engine::ExecutionContext& context) {
-        shard_results[s] = engine::SearchBatch(scratch[s], queries, context,
-                                               &shard_stats[s]);
+        shard_results[s] = engine::SearchBatch(
+            fleet.shards[s].adapter, queries, context, &shard_stats[s]);
       });
 
   std::vector<std::vector<int>> results(queries.size());
@@ -225,70 +214,22 @@ std::vector<std::vector<int>> ScatterSearchBatch(
 /// read-only and shared across shard jobs.
 template <engine::Searcher S>
 std::vector<engine::IdPair> ScatterSelfJoin(
-    const Fleet<S>& fleet, const S& full, std::vector<S>& scratch,
-    const engine::ExecutionContext& ctx,
+    const Fleet<S>& fleet, const S& full, const engine::ExecutionContext& ctx,
     engine::JoinStats* stats = nullptr) {
   StopWatch watch;
   const size_t num_shards = fleet.shards.size();
-  const int64_t num_probes = fleet.num_records;
   std::vector<std::vector<engine::IdPair>> shard_pairs(num_shards);
   std::vector<engine::QueryStats> shard_stats(num_shards);
   internal::ForEachShard(
       fleet, ctx, [&](size_t s, const engine::ExecutionContext& context) {
-        const std::vector<int>& global_ids = fleet.shards[s].global_ids;
-        std::vector<S> clones;
-        const auto searchers = engine::internal::CloneForThreads(
-            scratch[s], clones, context.num_threads());
-        std::vector<std::vector<engine::IdPair>> found(searchers.size());
-        std::vector<engine::QueryStats> partial(searchers.size());
-        context.pool().ParallelFor(
-            num_probes, context.chunk(), context.num_threads(),
-            [&](int thread, int64_t begin, int64_t end) {
-              for (int64_t i = begin; i < end; ++i) {
-                const int probe = static_cast<int>(i);
-                engine::QueryStats query_stats;
-                const auto local_ids =
-                    searchers[thread]->Search(full.query(probe), &query_stats);
-                for (int l : local_ids) {
-                  const int id = global_ids[static_cast<size_t>(l)];
-                  if (id == probe) {
-                    // Same rule as engine::SelfJoin: the probe's trivial hit
-                    // on itself (distance 0) surfaces exactly once
-                    // fleet-wide — on its owner shard — and leaves the
-                    // counters there.
-                    --query_stats.candidates;
-                    continue;
-                  }
-                  found[thread].push_back(
-                      {std::min(probe, id), std::max(probe, id)});
-                }
-                partial[thread] += query_stats;
-              }
-            });
-        size_t total = 0;
-        for (const auto& f : found) total += f.size();
-        shard_pairs[s].reserve(total);
-        for (const auto& f : found) {
-          shard_pairs[s].insert(shard_pairs[s].end(), f.begin(), f.end());
-        }
-        for (const engine::QueryStats& p : partial) shard_stats[s] += p;
+        shard_pairs[s] = engine::internal::JoinProbes(
+            full, fleet.shards[s].adapter, &fleet.shards[s].global_ids,
+            context, &shard_stats[s]);
       });
-
-  size_t total = 0;
-  for (const auto& p : shard_pairs) total += p.size();
-  std::vector<engine::IdPair> pairs;
-  pairs.reserve(total);
-  for (const auto& p : shard_pairs) pairs.insert(pairs.end(), p.begin(), p.end());
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
-  if (stats != nullptr) {
-    engine::QueryStats merged;
-    for (const engine::QueryStats& p : shard_stats) merged += p;
-    stats->candidates = merged.candidates;
-    stats->pairs = static_cast<int64_t>(pairs.size());
-    stats->total_millis = watch.ElapsedMillis();
-  }
+  engine::QueryStats counters;
+  for (const engine::QueryStats& p : shard_stats) counters += p;
+  std::vector<engine::IdPair> pairs = engine::internal::Concat(shard_pairs);
+  engine::internal::FinishJoin(pairs, counters, watch, stats);
   return pairs;
 }
 

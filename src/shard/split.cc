@@ -89,8 +89,8 @@ std::vector<ShardPart<engine::SetAdapter>> SplitSet(
     // per-record artifacts of the full build; only the inverted lists need
     // local ids, and re-deriving them from the copied prefixes is exactly
     // the building loop over the shard's records.
-    auto collection =
-        std::make_shared<const setsim::SetCollection>(setsim::SetCollection::FromBuilt(
+    auto collection = std::make_shared<const setsim::SetCollection>(
+        setsim::SetCollection::FromBuilt(
             dictionary, Subset(fc.records(), global_ids), fc.universe_size()));
     auto index = std::make_shared<setsim::PkwiseSearcher::Index>();
     index->prefixes = Subset(findex.prefixes, global_ids);
@@ -138,7 +138,9 @@ std::vector<ShardPart<engine::EditAdapter>> SplitEdit(
             p.id = local[static_cast<size_t>(p.id)];
             return true;
           });
-      if (!filtered.empty()) index->pivotal_index.emplace(rank, std::move(filtered));
+      if (!filtered.empty()) {
+        index->pivotal_index.emplace(rank, std::move(filtered));
+      }
     }
     for (const auto& [rank, postings] : findex.prefix_index) {
       auto filtered = FilterPostings(
@@ -147,7 +149,9 @@ std::vector<ShardPart<engine::EditAdapter>> SplitEdit(
             p.id = local[static_cast<size_t>(p.id)];
             return true;
           });
-      if (!filtered.empty()) index->prefix_index.emplace(rank, std::move(filtered));
+      if (!filtered.empty()) {
+        index->prefix_index.emplace(rank, std::move(filtered));
+      }
     }
     for (const auto& [length, ids] : findex.ids_by_length) {
       std::vector<int> filtered;
@@ -156,7 +160,9 @@ std::vector<ShardPart<engine::EditAdapter>> SplitEdit(
           filtered.push_back(local_of[static_cast<size_t>(id)]);
         }
       }
-      if (!filtered.empty()) index->ids_by_length.emplace(length, std::move(filtered));
+      if (!filtered.empty()) {
+        index->ids_by_length.emplace(length, std::move(filtered));
+      }
     }
     for (int id : findex.short_ids) {
       if (local_of[static_cast<size_t>(id)] >= 0) {
@@ -219,7 +225,8 @@ std::vector<ShardPart<engine::GraphAdapter>> SplitGraph(
     graphed::GraphFilter filter, int chain_length) {
   using State = graphed::GraphSearcher::State;
   const graphed::GraphSearcher& fs = full.searcher();
-  const auto owned = partitioner.Partition(static_cast<int>(full.data()->size()));
+  const auto owned =
+      partitioner.Partition(static_cast<int>(full.data()->size()));
   std::vector<ShardPart<engine::GraphAdapter>> parts;
   for (const std::vector<int>& global_ids : owned) {
     if (global_ids.empty()) continue;

@@ -12,6 +12,9 @@
 //    the snapshot dispatcher runs shard 0), be harvestable out of
 //    submission order and from overlapping submissions, and resolve
 //    validation errors without reaching the executor.
+//  * OneThreadManyDatabases: the searchers keep their per-query scratch
+//    per thread, so one thread hopping between databases of different
+//    sizes and domains must still answer every query like brute force.
 //  * Snapshot lifetime: Sessions (and in-flight futures) pin the snapshot,
 //    so they keep working after every Db handle is gone.
 //
@@ -21,6 +24,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -33,6 +39,11 @@
 #include "datagen/graphs.h"
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
+#include "editdist/pivotal.h"
+#include "graphed/pars.h"
+#include "hamming/search.h"
+#include "setsim/pkwise.h"
+#include "setsim/record.h"
 
 namespace pigeonring::api {
 namespace {
@@ -190,14 +201,160 @@ TEST(ConcurrentSessionsTest, Strings) {
 }
 
 TEST(ConcurrentSessionsTest, StringsFastPath) {
-  // The fast path clones a CaseDecSearcher (with its per-query dedup
-  // scratch) per engine thread — the batch and join here are what TSan
-  // watches for cross-thread scratch sharing.
+  // Every engine thread searches the one CaseDecSearcher, each with its own
+  // per-thread dedup and Hamming scratch — the batch and join here are
+  // what TSan watches for cross-thread scratch sharing.
   ExpectConcurrentSessionsMatchSequential(OpenStringsFastPath());
 }
 
 TEST(ConcurrentSessionsTest, Graphs) {
   ExpectConcurrentSessionsMatchSequential(OpenGraphs());
+}
+
+// --- one thread, many databases ---
+//
+// A searcher type keeps one scratch per thread, grown to the largest
+// collection that thread has probed. One thread alternating between
+// databases of different sizes and domains must still answer exactly,
+// through Search and through SearchBatch run inline (num_threads 1) and on
+// the pool (num_threads 4). The edit fast path's per-case searchers are
+// Hamming searchers, so they share the thread's Hamming scratch with the
+// Hamming databases, at a different row count.
+
+struct BruteForceCase {
+  std::string name;
+  Db db;
+  std::function<std::vector<int>(const Query&)> brute_force;
+};
+
+BruteForceCase HammingCase(int n, uint64_t seed) {
+  datagen::BinaryVectorConfig config;
+  config.dimensions = 64;
+  config.num_objects = n;
+  config.num_clusters = 6;
+  config.cluster_fraction = 0.6;
+  config.flip_rate = 0.05;
+  config.seed = seed;
+  auto vectors = std::make_shared<const std::vector<BitVector>>(
+      datagen::GenerateBinaryVectors(config));
+  IndexSpec spec;
+  spec.domain = Domain::kHamming;
+  spec.tau = 8;
+  spec.chain_length = 3;
+  return {"hamming" + std::to_string(n), OpenOrDie(spec, Dataset(*vectors)),
+          [vectors](const Query& q) {
+            return hamming::BruteForceSearch(*vectors, std::get<BitVector>(q),
+                                             8);
+          }};
+}
+
+BruteForceCase SetCase(int n, uint64_t seed) {
+  datagen::TokenSetConfig config;
+  config.num_records = n;
+  config.avg_tokens = 12;
+  config.universe_size = 3 * n;
+  config.duplicate_fraction = 0.4;
+  config.seed = seed;
+  const std::vector<std::vector<int>> raw = datagen::GenerateTokenSets(config);
+  auto collection = std::make_shared<const setsim::SetCollection>(raw);
+  IndexSpec spec;
+  spec.domain = Domain::kSet;
+  spec.tau = 0.7;
+  spec.chain_length = 2;
+  return {"sets" + std::to_string(n), OpenOrDie(spec, Dataset(raw)),
+          [collection](const Query& q) {
+            return setsim::BruteForceJaccardSearch(
+                *collection,
+                collection->MapQuery(std::get<SetQuery>(q).tokens), 0.7);
+          }};
+}
+
+BruteForceCase StringCase(int n, uint64_t seed, int fixed_length) {
+  datagen::StringConfig config;
+  config.num_records = n;
+  config.avg_length = 14;
+  config.fixed_length = fixed_length;
+  config.duplicate_fraction = 0.4;
+  config.max_perturb_edits = 2;
+  config.seed = seed;
+  auto strings = std::make_shared<const std::vector<std::string>>(
+      datagen::GenerateStrings(config));
+  IndexSpec spec;
+  spec.domain = Domain::kEdit;
+  spec.tau = 2;
+  spec.chain_length = 3;
+  spec.edit_fast_path =
+      fixed_length > 0 ? EditFastPath::kOn : EditFastPath::kOff;
+  return {(fixed_length > 0 ? "strings_fast" : "strings") + std::to_string(n),
+          OpenOrDie(spec, Dataset(*strings)), [strings](const Query& q) {
+            return editdist::BruteForceEditSearch(
+                *strings, std::get<std::string>(q), 2);
+          }};
+}
+
+BruteForceCase GraphCase(int n, uint64_t seed) {
+  datagen::GraphConfig config;
+  config.num_graphs = n;
+  config.avg_vertices = 8;
+  config.avg_edges = 9;
+  config.vertex_labels = 8;
+  config.duplicate_fraction = 0.4;
+  config.max_perturb_ops = 2;
+  config.seed = seed;
+  auto graphs = std::make_shared<const std::vector<graphed::Graph>>(
+      datagen::GenerateGraphs(config));
+  IndexSpec spec;
+  spec.domain = Domain::kGraph;
+  spec.tau = 2;
+  spec.chain_length = 2;
+  return {"graphs" + std::to_string(n), OpenOrDie(spec, Dataset(*graphs)),
+          [graphs](const Query& q) {
+            return graphed::BruteForceGedSearch(
+                *graphs, std::get<graphed::Graph>(q), 2);
+          }};
+}
+
+TEST(OneThreadManyDatabasesTest, AlternatingSearchAndBatchMatchBruteForce) {
+  std::vector<BruteForceCase> cases;
+  cases.push_back(HammingCase(300, 1711));
+  cases.push_back(StringCase(120, 1712, /*fixed_length=*/12));
+  cases.push_back(HammingCase(30, 1713));
+  cases.push_back(SetCase(200, 1714));
+  cases.push_back(StringCase(20, 1715, /*fixed_length=*/8));
+  cases.push_back(StringCase(80, 1716, /*fixed_length=*/0));
+  cases.push_back(SetCase(25, 1717));
+  cases.push_back(GraphCase(30, 1718));
+
+  std::vector<std::vector<Query>> queries;
+  std::vector<std::vector<std::vector<int>>> expected;
+  for (const BruteForceCase& c : cases) {
+    queries.push_back(SampleQueries(c.db, 6));
+    expected.emplace_back();
+    for (const Query& q : queries.back()) {
+      expected.back().push_back(c.brute_force(q));
+    }
+  }
+
+  std::vector<Session> sessions;
+  for (const BruteForceCase& c : cases) sessions.push_back(c.db.NewSession());
+  for (int round = 0; round < 2; ++round) {
+    for (size_t k = 0; k < cases.size(); ++k) {
+      SCOPED_TRACE(cases[k].name + " round " + std::to_string(round));
+      for (size_t i = 0; i < queries[k].size(); ++i) {
+        auto one = sessions[k].Search(queries[k][i]);
+        ASSERT_TRUE(one.ok()) << one.status().ToString();
+        EXPECT_EQ(one->ids, expected[k][i]) << "query " << i;
+      }
+      for (int threads : {1, 4}) {
+        RunOptions options;
+        options.num_threads = threads;
+        options.chunk = 1;
+        auto batch = sessions[k].SearchBatch(queries[k], options);
+        ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+        EXPECT_EQ(batch->ids, expected[k]) << "threads " << threads;
+      }
+    }
+  }
 }
 
 TEST(AsyncSubmissionTest, FuturesCarryTheSynchronousResults) {
@@ -325,7 +482,7 @@ TEST(AsyncSubmissionTest, SubmissionsOverlapSyncCallsAndEachOther) {
   ASSERT_TRUE(expected_join.ok());
 
   // In-flight submissions while the same session keeps issuing sync calls:
-  // each submission owns its scratch, so nothing may interfere.
+  // each dispatcher thread has its own scratch, so nothing may interfere.
   auto join_future = session.SubmitSelfJoin();
   auto batch_future = session.SubmitBatch(queries);
   for (int i = 0; i < 3; ++i) {

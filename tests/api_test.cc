@@ -294,8 +294,8 @@ TEST(DbTest, RunOptionsErrorsAreIdenticalOnEveryCallPath) {
   }
 }
 
-// Two sessions over the same Db are interchangeable — same helper, cursor
-// machinery, and executor — and agree with the Db-level accessors.
+// Two sessions over the same Db are interchangeable — same searcher and
+// executor — and agree with the Db-level accessors.
 TEST(SessionTest, SessionsOverOneDbAreInterchangeable) {
   IndexSpec spec;
   spec.domain = Domain::kEdit;

@@ -335,7 +335,7 @@ struct RecordingSearcher {
 
   int size() const { return 1; }
   const int& query(int) const { return shard; }
-  std::vector<int> Search(const int&, engine::QueryStats*) {
+  std::vector<int> Search(const int&, engine::QueryStats*) const {
     std::lock_guard<std::mutex> lock(log->mu);
     log->per_shard[static_cast<size_t>(shard)].insert(
         std::this_thread::get_id());
@@ -353,7 +353,7 @@ TEST(ScatterThreadsTest, CoordinatorRunsShardZeroAndSubmitsOnlyTheRest) {
       parts.push_back({{s}, RecordingSearcher{s, log}, nullptr});
     }
     const auto fleet = shard::MakeFleet(
-        shard::Partitioner(shard::PlacementMode::kRoundRobin, num_shards),
+        shard::Partitioner(num_shards),
         num_shards, std::move(parts));
     // Only shards 1..S-1 own an executor, so S = 1 has nothing to submit.
     for (int s = 0; s < num_shards; ++s) {
@@ -361,16 +361,14 @@ TEST(ScatterThreadsTest, CoordinatorRunsShardZeroAndSubmitsOnlyTheRest) {
                 s > 0);
     }
 
-    std::vector<RecordingSearcher> scratch = shard::CloneShardAdapters(*fleet);
     engine::Executor executor;
     const engine::ExecutionContext context(executor, {});
     std::vector<int> every_shard(static_cast<size_t>(num_shards));
     std::iota(every_shard.begin(), every_shard.end(), 0);
-    const auto results = shard::ScatterSearchBatch(
-        *fleet, scratch, std::vector<int>(4, 0), context);
+    const auto results =
+        shard::ScatterSearchBatch(*fleet, std::vector<int>(4, 0), context);
     for (const std::vector<int>& ids : results) EXPECT_EQ(ids, every_shard);
-    shard::ScatterSelfJoin(*fleet, fleet->shards[0].adapter, scratch,
-                           context);
+    shard::ScatterSelfJoin(*fleet, fleet->shards[0].adapter, context);
 
     // Shard 0 ran only on this thread (a 1-thread context runs its loop
     // inline); every other shard ran only on threads of its own executor.
@@ -390,33 +388,28 @@ TEST(ScatterThreadsTest, CoordinatorRunsShardZeroAndSubmitsOnlyTheRest) {
 
 // --- shard::Partitioner unit coverage ---
 
-TEST(PartitionerTest, BothModesPartitionEveryIdExactlyOnceAscending) {
-  for (shard::PlacementMode mode :
-       {shard::PlacementMode::kRoundRobin, shard::PlacementMode::kHash}) {
-    const shard::Partitioner partitioner(mode, 5);
-    const auto owned = partitioner.Partition(137);
-    ASSERT_EQ(owned.size(), 5u);
-    std::set<int> seen;
-    for (int s = 0; s < 5; ++s) {
-      EXPECT_TRUE(std::is_sorted(owned[s].begin(), owned[s].end()));
-      for (int g : owned[s]) {
-        EXPECT_EQ(partitioner.ShardOf(g), s);
-        EXPECT_TRUE(seen.insert(g).second) << "id " << g << " owned twice";
-      }
+TEST(PartitionerTest, RoundRobinPartitionsEveryIdExactlyOnceAscending) {
+  const shard::Partitioner partitioner(5);
+  const auto owned = partitioner.Partition(137);
+  ASSERT_EQ(owned.size(), 5u);
+  std::set<int> seen;
+  for (int s = 0; s < 5; ++s) {
+    EXPECT_TRUE(std::is_sorted(owned[s].begin(), owned[s].end()));
+    for (int g : owned[s]) {
+      EXPECT_EQ(partitioner.ShardOf(g), s);
+      EXPECT_TRUE(seen.insert(g).second) << "id " << g << " owned twice";
     }
-    EXPECT_EQ(seen.size(), 137u);
-    // Round-robin balance is exact: shard sizes differ by at most one.
-    if (mode == shard::PlacementMode::kRoundRobin) {
-      for (const auto& ids : owned) {
-        EXPECT_GE(static_cast<int>(ids.size()), 137 / 5);
-        EXPECT_LE(static_cast<int>(ids.size()), 137 / 5 + 1);
-      }
-    }
+  }
+  EXPECT_EQ(seen.size(), 137u);
+  // Round-robin balance is exact: shard sizes differ by at most one.
+  for (const auto& ids : owned) {
+    EXPECT_GE(static_cast<int>(ids.size()), 137 / 5);
+    EXPECT_LE(static_cast<int>(ids.size()), 137 / 5 + 1);
   }
 }
 
 TEST(PartitionerTest, EncodeDecodeRoundTripsAndRejectsMalformedBytes) {
-  const shard::Partitioner original(shard::PlacementMode::kHash, 7);
+  const shard::Partitioner original(7);
   storage::ByteWriter w;
   original.Encode(w);
   const std::vector<uint8_t> bytes = std::move(w).Take();
@@ -438,6 +431,7 @@ TEST(PartitionerTest, EncodeDecodeRoundTripsAndRejectsMalformedBytes) {
     bad.U32(shards);
     return std::move(bad).Take();
   };
+  EXPECT_TRUE(rejects(encode(1, 4)));
   EXPECT_TRUE(rejects(encode(2, 4)));
   EXPECT_TRUE(rejects(encode(0, 0)));
   EXPECT_TRUE(rejects(encode(0, 1)));
